@@ -415,7 +415,11 @@ class ConvexBody:
                 out = wy / (wx + np.atleast_1d(t) * wy)
                 return out.reshape(np.shape(t))
 
-            return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=rho, provenance="body:polygon")
+            verts = self.params["vertices"]
+            side = verts[:, 0] != 0
+            kinks = tuple(np.unique(verts[side, 1] / verts[side, 0]).tolist())
+            return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=rho, provenance="body:polygon",
+                          kinks=kinks)
 
         # radial samples: numeric weight with 5-point central-difference Q'
         def w_fn(t):

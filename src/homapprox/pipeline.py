@@ -20,7 +20,7 @@ from .errors import EscalationError
 from .polys import HomogeneousPoly
 from .report import ApproxReport
 from .unity import UnityParams, approximate_unity
-from .weighted_approx import (CompactifiedFunction, _joint_lp,
+from .weighted_approx import (CompactifiedFunction, _weighted_lp,
                               _homog_from_monomial)
 
 _VALIDATION_SEED = 0xB17E
@@ -50,6 +50,10 @@ def _pair_report(body, f, h_even, h_odd, samples=2000, pair_eval=None):
     if pair_eval is None:
         pair_eval = lambda p: h_even(p) + h_odd(p)
     pts = body.boundary_points(samples)
+    if body.kind == "polygon":
+        # a pair's error on a polygon peaks at its vertices, which the
+        # midpoint angles never hit
+        pts = np.vstack([pts, body.params["vertices"]])
     resid = np.abs(f(pts) - pair_eval(pts))
     fresh = body.boundary_points(samples // 2, seed=_VALIDATION_SEED)
     fresh_resid = np.abs(f(fresh) - pair_eval(fresh))
@@ -57,7 +61,7 @@ def _pair_report(body, f, h_even, h_odd, samples=2000, pair_eval=None):
         degree=max(h_even.degree, h_odd.degree),
         sup_error=float(np.max(resid)),
         mean_error=float(np.mean(resid)),
-        n_samples=samples,
+        n_samples=len(pts),
         extras={"validation_sup_error": float(np.max(fresh_resid))},
     )
 
@@ -85,7 +89,7 @@ def approximate_theorem2(body, f, n):
     # the canonical branch and (0, rho) on the mirrored one
     Fp = CompactifiedFunction(on_plus, float(f(top)[0]), float(f(-top)[0]))
     Fm = CompactifiedFunction(on_minus, float(f(-top)[0]), float(f(top)[0]))
-    wa_e, wa_o = _joint_lp(Fp, Fm, w, n_even, n_odd)
+    wa_e, wa_o = _weighted_lp((Fp, Fm), w, (n_even, n_odd))
     h_even = _homog_from_monomial(wa_e.monomial_coeffs(), n_even)
     h_odd = _homog_from_monomial(wa_o.monomial_coeffs(), n_odd)
 
@@ -94,6 +98,8 @@ def approximate_theorem2(body, f, n):
 
     report = _pair_report(body, f, h_even, h_odd, pair_eval=pair_eval)
     report.extras["joint_sup_error"] = wa_e.sup_error
+    report.extras["lp_solves"] = wa_e.lp_solves
+    report.extras["refine_converged"] = wa_e.converged
     return HomPair(h_even=h_even, h_odd=h_odd, route="planar-potential",
                    report=report, _eval=pair_eval)
 

@@ -25,7 +25,8 @@ class Weight:
     """External-field pair (W, Q = -log W) on the compactified line.
 
     `w_fn` and `qp_fn` must be vectorized over finite arrays; `rho` is the
-    limit of |t| W(t) at both infinities.
+    limit of |t| W(t) at both infinities.  `kinks` lists the finite t where W
+    is not differentiable (the slopes of a polygon's vertices).
     """
 
     w_fn: object
@@ -34,6 +35,7 @@ class Weight:
     provenance: str = "analytic"
     lower_accuracy: bool = False
     q_fn: object = None
+    kinks: tuple = ()
 
     def W(self, t):
         return self.w_fn(np.asarray(t, dtype=float))

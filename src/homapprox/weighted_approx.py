@@ -7,6 +7,17 @@ degree <= n and parity n.  The discrete minimax problem is solved as a linear
 program over a theta-uniform grid in that basis, which stays well conditioned
 where raw monomials t^k fail, and converts exactly to monomial coefficients
 through binomial convolutions of (1 + i t)^m (1 + t^2)^j.
+
+One solver handles one parity or an even/odd pair solved jointly.  Its solve
+grid has 32 (n + 1) + 1 nodes for the largest degree n.  Every fit is checked
+on a fixed verification grid of 40010 nodes, independent of the solve grid;
+the kinks of W (a polygon's vertex slopes) join both grids.  While the
+verified error exceeds the LP error by more than 1%, the worst verification
+nodes join the LP and it is solved again, for at most four rounds.  The stop
+test has an absolute floor of 1e-10 max|f|, because the LP objective of a
+near-exact fit falls below the solver's tolerance (~1e-7) and a purely
+relative test would never pass.  The reported sup error is the larger of the
+LP error and the verified one.
 """
 
 from __future__ import annotations
@@ -22,7 +33,8 @@ from .errors import DegreeCapError, UnequalLimitsError, NoConvergenceError
 from .polys import HomogeneousPoly
 
 _DEGREE_CAP = 128
-_GRID_DEFAULT = 4001
+_VERIFY_GRID = 40010
+_REFINE_ROUNDS = 4
 _LIMIT_PROBES = (1e6, 1e8)
 
 
@@ -98,8 +110,8 @@ class WeightedApproximant:
     cos_coef: np.ndarray
     sin_coef: np.ndarray
     sup_error: float
-    grid_size: int
-    refined: bool = False
+    lp_solves: int
+    converged: bool
     _mono: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -109,17 +121,20 @@ class WeightedApproximant:
     def _gtilde(self, t):
         return self.weight.W(t) * np.hypot(1.0, t) / self.gref
 
-    def __call__(self, t):
-        """Value of W^nu p_nu at finite t (vectorized)."""
-        t = np.asarray(t, dtype=float)
-        th = np.arctan(t)
+    def _trig(self, th):
+        """The trig sum sum_m c_m cos(m th) + s_m sin(m th) at angles th."""
         cos_m, sin_m = _harmonics(self.nu)
         acc = np.zeros_like(th)
         for c, m in zip(self.cos_coef, cos_m):
             acc += c * np.cos(m * th)
         for s, m in zip(self.sin_coef, sin_m):
             acc += s * np.sin(m * th)
-        return self._gtilde(t) ** self.nu * acc
+        return acc
+
+    def __call__(self, t):
+        """Value of W^nu p_nu at finite t (vectorized)."""
+        t = np.asarray(t, dtype=float)
+        return self._gtilde(t) ** self.nu * self._trig(np.arctan(t))
 
     def eval_points(self, pts):
         """Value of the matching homogeneous polynomial at planar points.
@@ -132,21 +147,13 @@ class WeightedApproximant:
         pts = np.asarray(pts, dtype=float)
         r = np.hypot(pts[:, 0], pts[:, 1])
         th = np.arctan2(pts[:, 1], pts[:, 0])
-        cos_m, sin_m = _harmonics(self.nu)
-        acc = np.zeros_like(th)
-        for c, m in zip(self.cos_coef, cos_m):
-            acc += c * np.cos(m * th)
-        for s, m in zip(self.sin_coef, sin_m):
-            acc += s * np.sin(m * th)
-        return (r / self.gref) ** self.nu * acc
+        return (r / self.gref) ** self.nu * self._trig(th)
 
     def at_inf(self, sign=1):
         """Limit of W^nu p_nu at sign*infinity."""
         th = np.pi / 2 if sign > 0 else -np.pi / 2
-        cos_m, sin_m = _harmonics(self.nu)
-        acc = sum(c * np.cos(m * th) for c, m in zip(self.cos_coef, cos_m))
-        acc += sum(s * np.sin(m * th) for s, m in zip(self.sin_coef, sin_m))
-        return (self.weight.rho / self.gref) ** self.nu * acc
+        return float((self.weight.rho / self.gref) ** self.nu
+                     * self._trig(np.array(th)))
 
     def monomial_coeffs(self):
         """Coefficients a_k with p_nu(t) = sum_k a_k t^k (stable conversion).
@@ -243,110 +250,80 @@ def _solve_lp(Psi, fvals):
     return coef, res.x[k]
 
 
-def _weighted_lp(f, w, nu, grid=_GRID_DEFAULT):
-    """Discrete weighted minimax for arbitrary parity nu (internal)."""
-    if nu > _DEGREE_CAP:
-        raise DegreeCapError(f"degree {nu} beyond cap {_DEGREE_CAP}")
-    t, thc = _grid(grid)
-    fin = np.isfinite(t)
-    gref = float(np.max(w.W(t[fin]) * np.hypot(1.0, t[fin])))
-    gref = max(gref, w.rho)
-    Psi = _basis_matrix(w, nu, gref, t, thc)
-    fvals = _sample_f(f, t)
-    coef, err = _solve_lp(Psi, fvals)
+def _weighted_lp(branches, w, degrees, grid=None):
+    """Discrete weighted minimax over stacked trig blocks (internal).
 
-    # dense verification on a 10x grid; Remez-style point injection if the
-    # LP error understates the true grid error by more than 5%
-    refined = False
-    for _ in range(4):
-        td, thd = _grid(10 * grid)
-        Psid = _basis_matrix(w, nu, gref, td, thd)
-        fd = _sample_f(f, td)
-        resid = np.abs(Psid @ coef - fd)
-        dense_err = float(np.max(resid))
-        if dense_err <= 1.05 * max(err, 1e-300):
-            break
-        refined = True
-        worst = np.argsort(resid)[-(4 * (nu + 2)):]
-        Psi = np.vstack([Psi, Psid[worst]])
-        fvals = np.concatenate([fvals, fd[worst]])
-        coef, err = _solve_lp(Psi, fvals)
-    else:
-        dense_err = float(np.max(np.abs(Psid @ coef - fd)))
-
-    cos_m, sin_m = _harmonics(nu)
-    nc = len(cos_m)
-    return WeightedApproximant(nu=nu, weight=w, gref=gref,
-                               cos_coef=coef[:nc], sin_coef=coef[nc:],
-                               sup_error=float(max(err, dense_err)),
-                               grid_size=grid, refined=refined)
-
-
-def _gref_for(w, nu, t):
-    fin = np.isfinite(t)
-    gref = float(np.max(w.W(t[fin]) * np.hypot(1.0, t[fin])))
-    return max(gref, w.rho)
-
-
-def _joint_lp(f_plus, f_minus, w, nu_even, nu_odd, grid=_GRID_DEFAULT):
-    """Simultaneous even/odd weighted minimax over both boundary branches.
-
-    Minimizes max over the slope grid of |even + odd - f_plus| and
-    |even - odd - f_minus|, which is the sup error of the homogeneous pair
-    over the whole boundary; solving the two parities jointly lets their
-    residuals share extrema instead of adding up.
+    ``degrees`` gives one basis block per degree nu.  Branch k of
+    ``branches`` is the target at the boundary points (-1)^k p(t), where the
+    block of degree nu enters with sign (-1)^(k nu).  One branch with one
+    block is the single-parity problem; two branches with an even and an odd
+    block are the pair problem, whose sup error over the whole boundary is
+    minimized jointly so that the parities' residuals share extrema instead
+    of adding up.  Returns one WeightedApproximant per block.
     """
-    if max(nu_even, nu_odd) > _DEGREE_CAP:
-        raise DegreeCapError(f"degree {max(nu_even, nu_odd)} beyond cap "
-                             f"{_DEGREE_CAP}")
-    t, thc = _grid(grid)
-    gref_e = _gref_for(w, nu_even, t)
-    gref_o = _gref_for(w, nu_odd, t)
+    if max(degrees) > _DEGREE_CAP:
+        raise DegreeCapError(f"degree {max(degrees)} beyond cap {_DEGREE_CAP}")
+    if grid is None:
+        grid = 32 * (max(degrees) + 1) + 1
+    kinks = np.asarray(w.kinks, dtype=float)
 
-    def stacked(tt, tthc):
-        Pe = _basis_matrix(w, nu_even, gref_e, tt, tthc)
-        Po = _basis_matrix(w, nu_odd, gref_o, tt, tthc)
-        top = np.hstack([Pe, Po])
-        bot = np.hstack([Pe, -Po])
-        fp = _sample_f(f_plus, tt)
-        fm = _sample_f(f_minus, tt)
-        return np.vstack([top, bot]), np.concatenate([fp, fm])
+    def nodes(m):
+        # the error of a fit peaks at the kinks of W, which no uniform grid
+        # need hit: they join both grids
+        t, thc = _grid(m)
+        return (np.concatenate([t, kinks]),
+                np.concatenate([thc, np.arctan(kinks)]))
 
-    Psi, fvals = stacked(t, thc)
-    coef, err = _solve_lp(Psi, fvals)
+    tv, thv = nodes(_VERIFY_GRID)
+    fin = np.isfinite(tv)
+    gref = max(float(np.max(w.W(tv[fin]) * np.hypot(1.0, tv[fin]))), w.rho)
+    signs = np.array([np.concatenate([np.full(nu + 1, (-1.0) ** (k * nu))
+                                      for nu in degrees])
+                      for k in range(len(branches))])
 
-    refined = False
-    for _ in range(4):
-        td, thd = _grid(10 * grid)
-        Psid, fd = stacked(td, thd)
-        resid = np.abs(Psid @ coef - fd)
+    def system(t, thc):
+        basis = np.hstack([_basis_matrix(w, nu, gref, t, thc)
+                           for nu in degrees])
+        return basis, np.stack([_sample_f(f, t) for f in branches])
+
+    Bv, fv = system(tv, thv)
+    floor = 1e-10 * float(np.max(np.abs(fv)))
+    B, fs = system(*nodes(grid))
+    A = np.vstack([B * s for s in signs])
+    b = fs.ravel()
+    inject = 4 * sum(nu + 2 for nu in degrees)
+    lp_solves = 0
+    while True:
+        coef, err = _solve_lp(A, b)
+        lp_solves += 1
+        resid = np.abs((signs * coef) @ Bv.T - fv)
         dense_err = float(np.max(resid))
-        if dense_err <= 1.05 * max(err, 1e-300):
+        converged = bool(dense_err <= max(1.01 * err, floor))
+        if converged or lp_solves > _REFINE_ROUNDS:
             break
-        refined = True
-        worst = np.argsort(resid)[-(4 * (nu_even + nu_odd + 4)):]
-        Psi = np.vstack([Psi, Psid[worst]])
-        fvals = np.concatenate([fvals, fd[worst]])
-        coef, err = _solve_lp(Psi, fvals)
-    else:
-        dense_err = float(np.max(np.abs(Psid @ coef - fd)))
+        # Remez-style injection of the worst verification nodes
+        branch, node = np.divmod(np.argsort(resid, axis=None)[-inject:],
+                                 len(tv))
+        A = np.vstack([A, Bv[node] * signs[branch]])
+        b = np.concatenate([b, fv[branch, node]])
 
     sup = float(max(err, dense_err))
-    ke = nu_even + 1
-    nce = len(_harmonics(nu_even)[0])
-    nco = len(_harmonics(nu_odd)[0])
-    wa_e = WeightedApproximant(nu=nu_even, weight=w, gref=gref_e,
-                               cos_coef=coef[:nce], sin_coef=coef[nce:ke],
-                               sup_error=sup, grid_size=grid, refined=refined)
-    wa_o = WeightedApproximant(nu=nu_odd, weight=w, gref=gref_o,
-                               cos_coef=coef[ke:ke + nco],
-                               sin_coef=coef[ke + nco:],
-                               sup_error=sup, grid_size=grid, refined=refined)
-    return wa_e, wa_o
+    out, lo = [], 0
+    for nu in degrees:
+        nc = len(_harmonics(nu)[0])
+        out.append(WeightedApproximant(
+            nu=nu, weight=w, gref=gref, cos_coef=coef[lo:lo + nc],
+            sin_coef=coef[lo + nc:lo + nu + 1], sup_error=sup,
+            lp_solves=lp_solves, converged=converged))
+        lo += nu + 1
+    return out
 
 
-def weighted_minimax(f, w, n, grid=_GRID_DEFAULT):
-    """Best discrete-minimax W^n p_n (even n) for f on the compactified line."""
+def weighted_minimax(f, w, n, grid=None):
+    """Best discrete-minimax W^n p_n (even n) for f on the compactified line.
+
+    ``grid`` is the number of solve-grid nodes; None scales it with n.
+    """
     if n % 2 != 0 or n < 0:
         raise ValueError("weighted_minimax needs even nonnegative n")
     if not isinstance(f, CompactifiedFunction):
@@ -354,7 +331,7 @@ def weighted_minimax(f, w, n, grid=_GRID_DEFAULT):
     if not f.equal_limits:
         raise UnequalLimitsError(
             "function has different limits at +infinity and -infinity")
-    return _weighted_lp(f, w, n, grid=grid)
+    return _weighted_lp((f,), w, (n,), grid=grid)[0]
 
 
 def homog_from_weighted(wa, body):

@@ -110,3 +110,16 @@ def test_pair_call_matches_stable_eval():
     pts = body.boundary_points(64)
     direct = pair.h_even(pts) + pair.h_odd(pts)
     assert np.max(np.abs(pair(pts) - direct)) < 1e-8 * (1 + np.max(np.abs(direct)))
+
+
+def test_square_report_covers_vertices():
+    """The vertex (1, 1), where the pair's error peaks, is in the report."""
+    pair = approximate_theorem2(ConvexBody.square(), f_absx, 16)
+    corner = np.array([[1.0, 1.0]])
+    assert pair.report.sup_error >= abs(f_absx(corner)[0] - pair(corner)[0])
+
+
+def test_exact_pair_takes_one_lp_solve():
+    pair = approximate_theorem2(ConvexBody.disk(), f_one, 17)
+    assert pair.report.extras["lp_solves"] == 1
+    assert pair.report.extras["refine_converged"] is True

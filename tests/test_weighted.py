@@ -6,6 +6,7 @@ import pytest
 from homapprox import (ConvexBody, CompactifiedFunction, divide_out_weight,
                        weighted_minimax, homog_from_weighted, invert_weight,
                        UnequalLimitsError, DegreeCapError)
+from homapprox import weighted_approx
 
 
 def disk_weight():
@@ -32,6 +33,53 @@ def test_trivial_oracle_linear_p():
     assert np.max(np.abs(wa(t) - f(t))) < 1e-12
     a = wa.monomial_coeffs()
     assert np.max(np.abs(a - np.array([0.0, 1.0, 0.0]))) < 1e-10
+
+
+def test_exact_fit_takes_one_lp_solve():
+    """1/(1+t^2) = W^2 on the disk; the LP objective is below the solver's
+    tolerance, so only the absolute floor of the stop test can accept it."""
+    f = CompactifiedFunction(lambda t: 1.0 / (1 + t ** 2), 0.0, 0.0)
+    wa = weighted_minimax(f, disk_weight(), 8)
+    assert wa.sup_error < 1e-12
+    assert wa.lp_solves == 1
+    assert wa.converged is True
+
+
+def _bump(t):
+    u = np.clip(np.asarray(t, dtype=float) / 3.0, -1.0, 1.0)
+    out = np.zeros_like(u)
+    m = np.abs(u) < 1
+    out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
+    return out
+
+
+@pytest.mark.parametrize("grid", [None, 501])
+def test_sup_error_matches_fresh_fine_grid(grid):
+    """The reported error is the true one, whatever the solve grid."""
+    f = CompactifiedFunction(_bump, 0.0, 0.0)
+    wa = weighted_minimax(f, disk_weight(), 32, grid=grid)
+    th = np.pi * ((np.arange(200_000) + 0.5) / 200_000 - 0.5)
+    t = np.tan(th)
+    fresh = np.max(np.abs(wa(t) - f(t)))
+    assert wa.sup_error == pytest.approx(fresh, rel=1e-2)
+
+
+def test_sup_error_covers_weight_kinks():
+    """On the square the error peaks at the vertex slopes t = +-1."""
+    w = ConvexBody.square().weight()
+    assert w.kinks == (-1.0, 1.0)
+    f = CompactifiedFunction(lambda t: np.exp(-t ** 2), 0.0, 0.0)
+    wa = weighted_minimax(f, w, 16)
+    t = np.array([-1.0, 1.0])
+    assert wa.sup_error >= np.max(np.abs(wa(t) - f(t)))
+
+
+def test_refinement_out_of_rounds_is_reported(monkeypatch):
+    monkeypatch.setattr(weighted_approx, "_REFINE_ROUNDS", 0)
+    f = CompactifiedFunction(_bump, 0.0, 0.0)
+    wa = weighted_minimax(f, disk_weight(), 32, grid=101)
+    assert wa.lp_solves == 1
+    assert wa.converged is False
 
 
 def test_from_callable_limit_probing():
