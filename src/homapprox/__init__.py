@@ -8,12 +8,12 @@ from .errors import (
 )
 from .geometry import ConvexBody, SupportLine
 from .polys import (
-    HomogeneousPoly, DensePoly, eval_homogeneous, linear_form_power,
-    homogenize_even, cheb_fit, growth_bound, growth_bound_check,
+    HomogeneousPoly, DensePoly, linear_form_power, homogenize_even, cheb_fit,
+    growth_bound, growth_bound_check,
 )
 from .partition import (
-    BumpFamily, gstar, g_odd, g_1d, g_k, active_indices,
-    partition_sum_and_overlap, sphere_patches, SpherePatch,
+    gstar, g_odd, g_1d, g_k, active_indices, partition_sum_and_overlap,
+    sphere_patches, SpherePatch,
 )
 from .potential import (
     Weight, check_weight, invert_weight, mrs_support, density,
@@ -35,9 +35,9 @@ __all__ = [
     "OddMonomialError", "EscalationError", "ConfigError", "ExprError",
     "ExprDomainError",
     "ConvexBody", "SupportLine",
-    "HomogeneousPoly", "DensePoly", "eval_homogeneous", "linear_form_power",
-    "homogenize_even", "cheb_fit", "growth_bound", "growth_bound_check",
-    "BumpFamily", "gstar", "g_odd", "g_1d", "g_k", "active_indices",
+    "HomogeneousPoly", "DensePoly", "linear_form_power", "homogenize_even",
+    "cheb_fit", "growth_bound", "growth_bound_check",
+    "gstar", "g_odd", "g_1d", "g_k", "active_indices",
     "partition_sum_and_overlap", "sphere_patches", "SpherePatch",
     "Weight", "check_weight", "invert_weight", "mrs_support", "density",
     "EquilibriumMeasure", "equilibrium_check", "smooth_integral_diag",

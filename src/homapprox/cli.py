@@ -26,12 +26,10 @@ from .expr import parse_expr, boundary_function, line_function
 from .geometry import ConvexBody
 from .partition import partition_sum_and_overlap, active_indices
 from .pipeline import approximate_theorem1, approximate_theorem2
-from .polys import HomogeneousPoly
 from .potential import (Weight, check_weight, mrs_support, density,
                         equilibrium_check)
 from .unity import UnityParams, approximate_unity, unity_error_report
-from .weighted_approx import (CompactifiedFunction, weighted_minimax,
-                              homog_from_weighted)
+from .weighted_approx import CompactifiedFunction, weighted_minimax
 
 _FLOAT = "{:.17g}".format
 

@@ -455,22 +455,3 @@ class ConvexBody:
     def __repr__(self):
         return f"ConvexBody(kind={self.kind!r}, dim={self.dim})"
 
-
-def gauge(body, x):
-    return body.gauge(x)
-
-
-def delta_K(body):
-    return body.delta()
-
-
-def support_line(body, p):
-    return body.support_line(p)
-
-
-def slope_point(body, t):
-    return body.slope_point(t)
-
-
-def weight_from_body(body):
-    return body.weight()

@@ -172,26 +172,3 @@ def sphere_patches(h, d):
                                        center=center))
     return patches
 
-
-@dataclass(frozen=True)
-class BumpFamily:
-    """Partition family at mesh size h in dimension d."""
-
-    h: float
-    d: int
-
-    def __post_init__(self):
-        if not (0 < self.h <= 1):
-            raise ValueError("h must be in (0, 1]")
-
-    def g(self, k, x):
-        return g_k(k, self.h, x)
-
-    def active_indices(self):
-        return active_indices(self.h, self.d)
-
-    def patches(self):
-        return sphere_patches(self.h, self.d)
-
-    def sum_and_overlap(self, points):
-        return partition_sum_and_overlap(points, self.h)

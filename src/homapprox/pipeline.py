@@ -11,7 +11,6 @@ continuous f on the boundary of a centrally symmetric planar body:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,27 +103,24 @@ def approximate_theorem2(body, f, n):
                    report=report, _eval=pair_eval)
 
 
-def _graded_parts(dim, coeffs):
-    parts = {}
-    for k, v in coeffs.items():
-        parts.setdefault(sum(k), {})[k] = v
-    return {deg: HomogeneousPoly(dim, deg, c) for deg, c in sorted(parts.items())}
-
-
 def _weierstrass_fit(body, f, m, tik=1e-10):
-    """Penalized least-squares polynomial of total degree m on the boundary."""
+    """Penalized least-squares polynomial of total degree m on the boundary.
+
+    Returns its graded parts, row d holding the degree-d part's coefficient
+    vector (index k = power of y, zero past d), and the sup residual.
+    """
     samples = 16 * (m + 1) ** 2
     pts = body.boundary_points(samples)
-    exps = [e for e in itertools.product(range(m + 1), repeat=2)
-            if sum(e) <= m]
-    exps.sort()
+    exps = [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
     V = np.stack([pts[:, 0] ** a * pts[:, 1] ** b for a, b in exps], axis=1)
     fv = f(pts)
     A = V.T @ V + tik * np.eye(V.shape[1])
     coef = np.linalg.solve(A, V.T @ fv)
     resid = float(np.max(np.abs(V @ coef - fv)))
-    coeffs = {e: c for e, c in zip(exps, coef)}
-    return coeffs, resid
+    parts = np.zeros((m + 1, m + 1))
+    for (a, b), c in zip(exps, coef):
+        parts[a + b, b] = c
+    return parts, resid
 
 
 def approximate_theorem1(body, f, n, m=8, delta=1e-3, unity_params=None):
@@ -132,22 +128,22 @@ def approximate_theorem1(body, f, n, m=8, delta=1e-3, unity_params=None):
     m_cap = min(24, 2 * (n - 4))
     if m > m_cap:
         raise ValueError(f"initial Weierstrass degree {m} exceeds cap {m_cap}")
-    coeffs, resid = _weierstrass_fit(body, f, m)
+    parts, resid = _weierstrass_fit(body, f, m)
     while resid > delta and m + 2 <= m_cap:
         m += 2
-        coeffs, resid = _weierstrass_fit(body, f, m)
+        parts, resid = _weierstrass_fit(body, f, m)
     if resid > delta:
         raise EscalationError(
             f"Weierstrass stage stalled at degree {m} with error {resid:.3e}",
             achieved=resid)
 
-    parts = _graded_parts(2, coeffs)
     unity_cache = {}
     h_even = HomogeneousPoly.zero(2, 2 * n)
     h_odd = HomogeneousPoly.zero(2, 2 * n + 1)
     bound = 0.0
     pts = body.boundary_points(1000)
-    for deg, hj in parts.items():
+    for deg, part in enumerate(parts):
+        hj = HomogeneousPoly.from_vector(part[:deg + 1])
         n_u = n - deg // 2
         if n_u not in unity_cache:
             params = unity_params(n_u) if unity_params else UnityParams(n=n_u)

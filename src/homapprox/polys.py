@@ -1,22 +1,20 @@
 """Dense polynomial infrastructure.
 
-Homogeneous polynomials with exponent-tuple coefficient maps, dense
-low-degree polynomials, Chebyshev interpolation on intervals/rectangles,
-the even-monomial homogenization lift through a supporting hyperplane,
-and the classical off-interval growth bound (2|x|/a)^n.
+Planar homogeneous polynomials as dense coefficient vectors, low-degree
+polynomials with exponent-tuple coefficient maps, Chebyshev interpolation on
+intervals/rectangles, the even-monomial homogenization lift through a
+supporting line, and the classical off-interval growth bound (2|x|/a)^n.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DimensionError, OddMonomialError, DegreeCapError
-
-_COEFF_TOL = 0.0  # exact-zero coefficients are dropped from storage
 
 
 def _clean(coeffs):
@@ -36,61 +34,78 @@ def _eval_table(exps, coeffs, x, chunk=4096):
     return out
 
 
-@dataclass(frozen=True)
 class HomogeneousPoly:
-    """Homogeneous polynomial of fixed total degree with dense storage."""
+    """Planar homogeneous polynomial sum_k vec[k] x^(degree-k) y^k.
 
-    dim: int
-    degree: int
-    coeffs: dict = field(default_factory=dict)
+    The dense vector ``vec`` (index k = power of y) is the only storage;
+    ``coeffs`` is a read-only view {(degree-k, k): vec[k]} of its nonzero
+    entries.
+    """
 
-    def __post_init__(self):
-        for k, v in self.coeffs.items():
-            if len(k) != self.dim:
+    dim = 2
+
+    def __init__(self, dim, degree, coeffs=None):
+        if dim != 2:
+            raise DimensionError("homogeneous polynomials are planar (dim 2)")
+        vec = np.zeros(degree + 1)
+        for k, v in (coeffs or {}).items():
+            if len(k) != 2:
                 raise DimensionError(f"exponent {k} has wrong length")
-            if sum(k) != self.degree:
-                raise ValueError(f"exponent {k} does not sum to {self.degree}")
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
+            if sum(k) != degree or min(k) < 0:
+                raise ValueError(f"exponent {k} does not sum to {degree}")
+            vec[k[1]] = v
+        vec.setflags(write=False)
+        self.vec = vec
 
-    def _table(self):
-        keys = sorted(self.coeffs)
-        exps = np.array(keys, dtype=float).reshape(len(keys), self.dim)
-        vals = np.array([self.coeffs[k] for k in keys])
-        return exps, vals
+    @classmethod
+    def from_vector(cls, vec):
+        """The polynomial sum_k vec[k] x^(len(vec)-1-k) y^k."""
+        hp = cls.__new__(cls)
+        hp.vec = np.array(vec, dtype=float)
+        hp.vec.setflags(write=False)
+        return hp
+
+    @property
+    def degree(self):
+        return len(self.vec) - 1
+
+    @property
+    def coeffs(self):
+        return MappingProxyType({(self.degree - k, k): float(v)
+                                 for k, v in enumerate(self.vec) if v != 0.0})
+
+    def __repr__(self):
+        return f"HomogeneousPoly(2, {self.degree}, {dict(self.coeffs)!r})"
 
     def __call__(self, x):
-        exps, vals = self._table()
-        out = _eval_table(exps, vals, x)
+        # s_k = x s_{k-1} + vec[k] y^k, so s_degree is the polynomial; no
+        # division by x or y keeps it exact on both axes
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        if x.shape[1] != 2:
+            raise DimensionError("points must be planar")
+        u, v = x[:, 0], x[:, 1]
+        out = np.full(len(u), self.vec[0])
+        yk = np.ones(len(u))
+        for a in self.vec[1:]:
+            yk *= v
+            out *= u
+            out += a * yk
         return out if out.shape[0] > 1 else float(out[0])
 
     def add(self, other):
-        if (other.dim, other.degree) != (self.dim, self.degree):
-            raise DimensionError("mismatched dimension or degree")
-        c = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            c[k] = c.get(k, 0.0) + v
-        return HomogeneousPoly(self.dim, self.degree, c)
+        if other.degree != self.degree:
+            raise DimensionError("mismatched degree")
+        return HomogeneousPoly.from_vector(self.vec + other.vec)
 
     def scale(self, a):
-        return HomogeneousPoly(self.dim, self.degree,
-                               {k: a * v for k, v in self.coeffs.items()})
+        return HomogeneousPoly.from_vector(a * self.vec)
 
     def multiply(self, other):
-        if other.dim != self.dim:
-            raise DimensionError("mismatched dimension")
-        c = {}
-        for ka, va in self.coeffs.items():
-            for kb, vb in other.coeffs.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                c[k] = c.get(k, 0.0) + va * vb
-        return HomogeneousPoly(self.dim, self.degree + other.degree, c)
-
-    def norm1(self):
-        return sum(abs(v) for v in self.coeffs.values())
+        return HomogeneousPoly.from_vector(np.convolve(self.vec, other.vec))
 
     def to_json_obj(self):
-        return [{"exponents": list(k), "coeff": self.coeffs[k]}
-                for k in sorted(self.coeffs)]
+        c = self.coeffs
+        return [{"exponents": list(k), "coeff": c[k]} for k in sorted(c)]
 
     @classmethod
     def from_json_obj(cls, dim, degree, obj):
@@ -99,7 +114,7 @@ class HomogeneousPoly:
 
     @classmethod
     def zero(cls, dim, degree):
-        return cls(dim, degree, {})
+        return cls(dim, degree)
 
 
 @dataclass(frozen=True)
@@ -154,53 +169,51 @@ class DensePoly:
     def is_even(self):
         return all(sum(k) % 2 == 0 for k in self.coeffs)
 
-    def norm1(self):
-        return sum(abs(v) for v in self.coeffs.values())
 
-    def to_json_obj(self):
-        return [{"exponents": list(k), "coeff": self.coeffs[k]}
-                for k in sorted(self.coeffs)]
-
-    @classmethod
-    def from_json_obj(cls, dim, obj):
-        return cls(dim, {tuple(e["exponents"]): e["coeff"] for e in obj})
-
-
-def eval_homogeneous(hp, x):
-    """Evaluate a homogeneous polynomial at one point or an array of rows."""
-    return hp(x)
-
-
-def linear_form_power(w, n, dim=None):
-    """<w, x>^n expanded as a HomogeneousPoly via the multinomial theorem."""
+def linear_form_power(w, n):
+    """<w, x>^n = sum_k C(n,k) w0^(n-k) w1^k x^(n-k) y^k."""
     w = np.asarray(w, dtype=float)
-    d = dim if dim is not None else w.shape[0]
-    if w.shape[0] != d:
-        raise DimensionError("form length does not match dimension")
-    coeffs = {}
-    fact_n = math.factorial(n)
-    for k in itertools.combinations_with_replacement(range(d), n):
-        exp = [0] * d
-        for j in k:
-            exp[j] += 1
-        denom = 1
-        val = fact_n
-        for e in exp:
-            denom *= math.factorial(e)
-        c = val / denom
-        for j, e in enumerate(exp):
-            c *= w[j] ** e
-        coeffs[tuple(exp)] = c
-    if n == 0:
-        coeffs = {tuple([0] * d): 1.0}
-    return HomogeneousPoly(d, n, coeffs)
+    if w.shape != (2,):
+        raise DimensionError("linear forms are planar (length 2)")
+    k = np.arange(n + 1)
+    binom = np.array([float(math.comb(n, j)) for j in k])
+    return HomogeneousPoly.from_vector(binom * w[0] ** (n - k) * w[1] ** k)
+
+
+def _times_form(vecs, form):
+    """Coefficient vectors (..., L) times forms (..., m), index k = power of y.
+
+    One form per row, or one for all rows.  The product keeps the length L,
+    so its degree must stay below L.
+    """
+    out = np.zeros_like(vecs)
+    L = vecs.shape[-1]
+    for i in range(form.shape[-1]):
+        out[..., i:] += form[..., i, None] * vecs[..., :L - i]
+    return out
+
+
+def _lift_graded(parts, w, target):
+    """sum_j <x,w>^(target-j) P_j for graded parts P_0, P_1, ... in order.
+
+    One pass of S <- <x,w> S + P_j; every part is a length-(target+1)
+    vector (or a batch of rows with one w each) holding a homogeneous
+    polynomial of degree j, and missing top parts count as zero.
+    """
+    s, deg = None, -1
+    for part in parts:
+        s = part.copy() if s is None else _times_form(s, w) + part
+        deg += 1
+    for _ in range(deg, target):
+        s = _times_form(s, w)
+    return s
 
 
 def homogenize_even(p, line, target_degree):
-    """Lift an even DensePoly to H^d_{2n} by padding with <x,w> powers.
+    """Lift an even planar DensePoly to H^2_{2n} by padding with <x,w> powers.
 
-    On the hyperplane pair {<x,w> = +/-1} the result agrees with p because
-    every inserted factor <x,w>^{2j} equals 1 there.
+    On the line pair {<x,w> = +/-1} the result agrees with p because every
+    inserted factor <x,w>^{2j} equals 1 there.
     """
     if target_degree % 2 != 0:
         raise ValueError("target degree must be even")
@@ -210,17 +223,12 @@ def homogenize_even(p, line, target_degree):
         raise DegreeCapError(
             f"target degree {target_degree} below polynomial degree {p.degree}")
     w = np.asarray(line.normal, dtype=float)
-    if w.shape[0] != p.dim:
-        raise DimensionError("line normal does not match polynomial dimension")
-    out = HomogeneousPoly.zero(p.dim, target_degree)
-    by_degree = {}
-    for k, v in p.coeffs.items():
-        by_degree.setdefault(sum(k), {})[k] = v
-    for deg, part in sorted(by_degree.items()):
-        mono = HomogeneousPoly(p.dim, deg, part)
-        pad = linear_form_power(w, target_degree - deg, dim=p.dim)
-        out = out.add(mono.multiply(pad))
-    return out
+    if p.dim != 2 or w.shape != (2,):
+        raise DimensionError("homogenization is planar")
+    parts = np.zeros((p.degree + 1, target_degree + 1))
+    for (a, b), v in p.coeffs.items():
+        parts[a + b, b] = v
+    return HomogeneousPoly.from_vector(_lift_graded(parts, w, target_degree))
 
 
 def _cheb_nodes(n):

@@ -17,7 +17,7 @@ from scipy.fft import dct
 
 from .errors import UnsupportedBodyError, DimensionError
 from .partition import sphere_patches
-from .polys import HomogeneousPoly
+from .polys import HomogeneousPoly, _lift_graded, _times_form
 from .report import ApproxReport
 
 
@@ -65,52 +65,35 @@ class UnityParams:
         return m, gamma, h
 
 
-def _conv_power(v, p):
-    """p-fold convolution power of a homogeneous coefficient vector."""
-    out = np.array([1.0])
-    for _ in range(p):
-        out = np.convolve(out, v)
-    return out
-
-
 def _lift_cheb(c, w, e, lo, hi, target):
-    """Homogeneous degree-`target` coefficients (powers of y ascending) of
+    """Homogeneous degree-`target` coefficient rows (powers of y ascending) of
 
         h(x) = sum_j c[j] * <x,w>^(target-j) * G_j(x),
 
-    where G_j is the degree-j homogenization of T_j((2s - lo - hi)/(hi - lo))
-    under s = <x,e>/<x,w>.  On the supporting line pair {<x,w> = +/-1} this
-    restricts to the fitted Chebyshev sum in the tangent coordinate s.
+    one row per patch: c is (patches, terms), w and e are (patches, 2), lo and
+    hi are (patches,).  G_j is the degree-j homogenization of
+    T_j((2s - lo - hi)/(hi - lo)) under s = <x,e>/<x,w>, built by the
+    recurrence G_j = 2 B G_{j-1} - <x,w>^2 G_{j-2} with B = alpha <x,e> +
+    beta <x,w>.  On the supporting line pair {<x,w> = +/-1} row i restricts
+    to the fitted Chebyshev sum of patch i in the tangent coordinate s.
     """
     alpha = 2.0 / (hi - lo)
     beta = -(hi + lo) / (hi - lo)
-    B = np.array([alpha * e[0] + beta * w[0], alpha * e[1] + beta * w[1]])
-    Wv = np.array([w[0], w[1]])
-    Wsq = np.convolve(Wv, Wv)
-    wpow = [np.array([1.0])]
-    for _ in range(target):
-        wpow.append(np.convolve(wpow[-1], Wv))
+    B = alpha[:, None] * e + beta[:, None] * w
+    w2 = np.stack([w[:, 0] ** 2, 2 * w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)
 
-    acc = np.zeros(target + 1)
-    g_prev = np.array([1.0])          # G_0
-    g_cur = B.copy()                  # G_1
-    for j in range(len(c)):
-        if j == 0:
-            gj = g_prev
-        elif j == 1:
-            gj = g_cur
-        else:
-            gj = 2 * np.convolve(B, g_cur) - np.convolve(Wsq, g_prev)
-            g_prev, g_cur = g_cur, gj
-        if c[j] != 0.0:
-            acc += c[j] * np.convolve(gj, wpow[target - j])
-    return acc
+    def graded():
+        g_prev = np.zeros((len(c), target + 1))
+        g_prev[:, 0] = 1.0                        # G_0
+        g_cur = _times_form(g_prev, B)            # G_1
+        yield c[:, :1] * g_prev
+        for j in range(1, c.shape[1]):
+            if j > 1:
+                g_prev, g_cur = g_cur, (2 * _times_form(g_cur, B)
+                                        - _times_form(g_prev, w2))
+            yield c[:, j:j + 1] * g_cur
 
-
-def _vec_to_hp(vec, degree):
-    coeffs = {(degree - m, m): vec[m] for m in range(degree + 1)
-              if vec[m] != 0.0}
-    return HomogeneousPoly(2, degree, coeffs)
+    return _lift_graded(graded(), w, target)
 
 
 def _patch_coeffs(body, patch, target, radius, nodes):
@@ -151,12 +134,11 @@ def approximate_unity(body, params):
     radius = params.fit_radius * body.delta()
     target = 2 * n
 
-    acc = np.zeros(target + 1)
-    for patch in sphere_patches(h, 2):
-        c, w, e, lo, hi = _patch_coeffs(body, patch, target, radius,
-                                        params.fit_nodes)
-        acc += _lift_cheb(c, w, e, lo, hi, target)
-    return _vec_to_hp(acc, target)
+    fits = [_patch_coeffs(body, patch, target, radius, params.fit_nodes)
+            for patch in sphere_patches(h, 2)]
+    c, w, e, lo, hi = (np.array(v) for v in zip(*fits))
+    return HomogeneousPoly.from_vector(
+        _lift_cheb(c, w, e, lo, hi, target).sum(axis=0))
 
 
 def unity_error_report(body, hp, samples=2000):

@@ -346,5 +346,4 @@ def homog_from_weighted(wa, body):
 
 
 def _homog_from_monomial(a, n):
-    coeffs = {(n - k, k): float(a[k]) for k in range(n + 1) if a[k] != 0.0}
-    return HomogeneousPoly(2, n, coeffs)
+    return HomogeneousPoly.from_vector(a[:n + 1])

@@ -1,5 +1,9 @@
 """Polynomial infrastructure: evaluation, homogenization, fits, growth bound."""
 
+import math
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,3 +166,57 @@ def test_growth_bound_random_polys():
 def test_growth_bound_check_dimension_guard():
     with pytest.raises(DimensionError):
         growth_bound_check(DensePoly(2, {(1, 1): 1.0}), 1.0, 2.0)
+
+
+def _mp_terms(vec, x, y):
+    """Terms c_k x^(n-k) y^k of a coefficient vector, in mpmath."""
+    n = len(vec) - 1
+    x, y = mpmath.mpf(float(x)), mpmath.mpf(float(y))
+    return [mpmath.mpf(float(c)) * x ** (n - k) * y ** k
+            for k, c in enumerate(vec)]
+
+
+@pytest.mark.parametrize("degree", [128, 129])
+def test_eval_matches_mpmath_at_high_degree(degree):
+    rng = np.random.default_rng(degree)
+    vec = rng.choice([-1.0, 1.0], degree + 1) * 10.0 ** rng.uniform(
+        -3, 9, degree + 1)
+    hp = HomogeneousPoly.from_vector(vec)
+    rho = 0.7
+    th = rng.uniform(0, 2 * np.pi, 40)
+    pts = np.vstack([np.stack([np.cos(th), np.sin(th)], axis=1)
+                     * rng.uniform(0.5, 1.5, (40, 1)),
+                     [[0.0, rho], [0.0, -rho], [1.0, 0.0], [-1.0, 0.0],
+                      [0.3, 0.0], [0.0, 1.2]]])
+    got = hp(pts)
+    with mpmath.workdps(60):
+        for (x, y), g in zip(pts, got):
+            terms = _mp_terms(vec, x, y)
+            err = abs(mpmath.mpf(float(g)) - mpmath.fsum(terms))
+            assert err <= 1e-13 * mpmath.fsum(abs(t) for t in terms), (x, y)
+
+
+def test_linear_form_power_exact_binomials():
+    rng = np.random.default_rng(5)
+    for n in (0, 1, 7, 64, 128):
+        w = rng.standard_normal(2)
+        vec = linear_form_power(w, n).vec
+        w0, w1 = Fraction(w[0]), Fraction(w[1])
+        for k in range(n + 1):
+            exact = math.comb(n, k) * w0 ** (n - k) * w1 ** k
+            assert abs(Fraction(vec[k]) - exact) <= 1e-14 * abs(exact), (n, k)
+
+
+def test_dense_layout_and_dict_view():
+    hp = HomogeneousPoly(2, 3, {(3, 0): 2.0, (1, 2): -1.0})
+    assert list(hp.vec) == [2.0, 0.0, -1.0, 0.0]
+    assert hp.coeffs == {(3, 0): 2.0, (1, 2): -1.0}
+    with pytest.raises(TypeError):
+        hp.coeffs[(0, 3)] = 1.0
+    prod = hp.multiply(linear_form_power(np.array([1.0, 1.0]), 1))
+    assert list(prod.vec) == [2.0, 2.0, -1.0, -1.0, 0.0]
+    with pytest.raises(DimensionError):
+        HomogeneousPoly(3, 2, {(2, 0, 0): 1.0})
+    # exact on the axes: no division by x or y
+    assert hp(np.array([0.0, 2.0])) == 0.0
+    assert hp(np.array([-3.0, 0.0])) == -54.0

@@ -1,11 +1,14 @@
 """Even homogeneous approximation of 1 on smooth planar boundaries."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from homapprox import (ConvexBody, HomogeneousPoly, UnityParams,
                        approximate_unity, unity_error_report,
-                       UnsupportedBodyError, DimensionError)
+                       linear_form_power, UnsupportedBodyError,
+                       DimensionError)
+from homapprox.unity import _lift_cheb
 
 
 def test_resolve_defaults():
@@ -78,3 +81,66 @@ def test_non_smooth_body_rejected():
 def test_three_dimensional_body_rejected():
     with pytest.raises(DimensionError):
         approximate_unity(ConvexBody.ball(), UnityParams(n=8))
+
+
+def _patch_geometries(rng, count):
+    th = rng.uniform(0, 2 * np.pi, count)
+    w = np.stack([np.cos(th), np.sin(th)], axis=1)
+    e = np.stack([-np.sin(th), np.cos(th)], axis=1)
+    s_k = rng.uniform(-0.5, 0.5, count)
+    radius = rng.uniform(1.0, 3.0, count)
+    return w, e, s_k - radius, s_k + radius
+
+
+def _mp_cheb_sum(c, u):
+    t_prev, t_cur = mpmath.mpf(1), u
+    acc = mpmath.mpf(float(c[0])) + mpmath.mpf(float(c[1])) * u
+    for cj in c[2:]:
+        t_prev, t_cur = t_cur, 2 * u * t_cur - t_prev
+        acc += mpmath.mpf(float(cj)) * t_cur
+    return acc
+
+
+def _check_lift_on_lines(row, c, w, e, lo, hi):
+    """row restricted to {<x,w> = +/-1} against chebval(alpha s + beta, c).
+
+    Both sides are evaluated in 60 digits, so the comparison sees only the
+    rounding of the lifted coefficients, measured against the sum of the
+    absolute terms of the monomial form.
+    """
+    target = len(row) - 1
+    mp = mpmath.mpf
+    for s in np.linspace(lo, hi, 5):
+        u = (2 * mp(s) - mp(lo) - mp(hi)) / (mp(hi) - mp(lo))
+        ref = _mp_cheb_sum(c, u)
+        for sign in (1, -1):
+            x = [sign * (mp(w[i]) + mp(s) * mp(e[i])) for i in (0, 1)]
+            terms = [mp(float(v)) * x[0] ** (target - k) * x[1] ** k
+                     for k, v in enumerate(row)]
+            err = abs(mpmath.fsum(terms) - ref)
+            assert err <= 1e-13 * mpmath.fsum(abs(t) for t in terms), (s, sign)
+
+
+def test_lift_restricts_to_chebyshev_sum():
+    rng = np.random.default_rng(31)
+    target = 128
+    w, e, lo, hi = _patch_geometries(rng, 4)
+    c = rng.uniform(-1.0, 1.0, (4, target + 1))
+    rows = _lift_cheb(c, w, e, lo, hi, target)
+    assert rows.shape == (4, target + 1)
+    with mpmath.workdps(60):
+        for i in range(4):
+            single = _lift_cheb(c[i:i + 1], w[i:i + 1], e[i:i + 1],
+                                lo[i:i + 1], hi[i:i + 1], target)
+            # each row of a batch is the single-patch lift, bit for bit
+            assert np.array_equal(single[0], rows[i])
+            _check_lift_on_lines(rows[i], c[i], w[i], e[i], lo[i], hi[i])
+
+
+def test_lift_of_short_series_pads_with_supporting_form():
+    # c = [1]: the lift is <x,w>^target itself
+    w, e = np.array([[0.6, 0.8]]), np.array([[-0.8, 0.6]])
+    row = _lift_cheb(np.ones((1, 1)), w, e, np.array([-1.0]), np.array([1.0]),
+                     6)[0]
+    ref = linear_form_power(w[0], 6).vec
+    assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))

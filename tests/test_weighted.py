@@ -1,5 +1,8 @@
 """Weighted minimax on the compactified line and the homogeneous conversion."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -183,3 +186,49 @@ def test_weight_inversion_consistency():
     wb = weighted_minimax(g, w0, 6)
     # the two problems are images of each other: equal best errors
     assert wb.sup_error == pytest.approx(wa.sup_error, rel=1e-2, abs=1e-6)
+
+
+def _mp_monomial_coeffs(wa):
+    """gref^-nu sum_m [c_m Re + s_m Im]((1+it)^m) (1+t^2)^((nu-m)/2) in
+    60 digits, with the matching sums of absolute contributions."""
+    nu = wa.nu
+    cos_m, sin_m = weighted_approx._harmonics(nu)
+    ref = [mpmath.mpf(0)] * (nu + 1)
+    scale = [mpmath.mpf(0)] * (nu + 1)
+    for coefs, degrees, part in ((wa.cos_coef, cos_m, 0),
+                                 (wa.sin_coef, sin_m, 1)):
+        for coef, m in zip(coefs, degrees):
+            # Re/Im of (1+it)^m: C(m,k) i^k, kept where k has parity `part`
+            head = [0] * (m + 1)
+            for k in range(part, m + 1, 2):
+                head[k] = math.comb(m, k) * (-1) ** ((k - part) // 2)
+            j = (nu - m) // 2
+            poly = [0] * (nu + 1)
+            for k, hk in enumerate(head):
+                for l in range(j + 1):
+                    poly[k + 2 * l] += hk * math.comb(j, l)
+            coef = mpmath.mpf(float(coef))
+            for k, pk in enumerate(poly):
+                ref[k] += coef * pk
+                scale[k] += abs(coef * pk)
+    g = mpmath.mpf(float(wa.gref)) ** nu
+    return [r / g for r in ref], [s / g for s in scale]
+
+
+def test_monomial_coeffs_match_mpmath_expansion():
+    body = ConvexBody.ellipse(2.0, 1.0)
+    w = body.weight()
+    f = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
+    top = np.array([[0.0, w.rho]])
+    branches = [CompactifiedFunction(
+        lambda t, s=s: f(s * body.slope_points(np.asarray(t, dtype=float))),
+        float(f(s * top)[0]), float(f(-s * top)[0])) for s in (1.0, -1.0)]
+    fits = weighted_approx._weighted_lp(branches, w, (24, 25))
+    with mpmath.workdps(60):
+        for wa in fits:
+            ref, scale = _mp_monomial_coeffs(wa)
+            got = wa.monomial_coeffs()
+            assert len(got) == wa.nu + 1
+            for k in range(wa.nu + 1):
+                err = abs(mpmath.mpf(float(got[k])) - ref[k])
+                assert err <= 1e-13 * scale[k], (wa.nu, k)
