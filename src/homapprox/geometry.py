@@ -16,9 +16,15 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
 from .errors import BoundaryPointError, DimensionError
-from .potential import Weight
+from .potential import Weight, five_point
 
 _BOUNDARY_TOL = 1e-9
+
+
+def _slope_directions(ts):
+    """Directions (1, t) for an array of finite slopes t."""
+    ts = np.asarray(ts, dtype=float)
+    return np.stack([np.ones_like(ts), ts], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -211,34 +217,29 @@ class ConvexBody:
         return np.linalg.norm(u, axis=-1) / self.gauge(u)
 
     def gauge_gradient(self, x):
-        """Gradient of the gauge at x != 0 (a.e. for polytopes)."""
+        """Gradient of the gauge at x != 0 (a.e. for polytopes); vectorized over leading axes."""
         x = np.asarray(x, dtype=float)
         if self.kind == "disk":
-            return x / (np.linalg.norm(x) * self.params["radius"])
+            return x / (np.linalg.norm(x, axis=-1, keepdims=True) * self.params["radius"])
         if self.kind == "ellipse":
             a = self.params["axes"]
-            return (x / a ** 2) / self.gauge(x)
+            return (x / a ** 2) / self.gauge(x)[..., None]
         if self.kind == "pnorm":
             p = self.params["p"]
             a = self.params["axes"]
-            g = self.gauge(x)
+            g = self.gauge(x)[..., None]
             return np.sign(x) * np.abs(x / a) ** (p - 1) / a * g ** (1 - p)
         if self.kind == "polygon":
             forms = self.params["edge_forms"]
-            vals = forms @ x
-            best = np.max(vals)
-            # vertex tie: pick the clockwise-adjacent edge, i.e. the smallest
-            # index among ties in CCW edge order
-            idx = int(np.flatnonzero(vals >= best - 1e-12 * (1 + abs(best)))[0])
+            vals = x @ forms.T
+            best = np.max(vals, axis=-1, keepdims=True)
+            # vertex tie: the smallest index among ties, edges in CCW order
+            idx = np.argmax(vals >= best - 1e-12 * (1 + np.abs(best)), axis=-1)
             return forms[idx]
-        # radial: central differences on the gauge
-        h = 1e-6 * (1 + np.linalg.norm(x))
-        grad = np.zeros(self.dim)
-        for j in range(self.dim):
-            e = np.zeros(self.dim)
-            e[j] = h
-            grad[j] = (self.gauge(x + e) - self.gauge(x - e)) / (2 * h)
-        return grad
+        # radial: five-point central differences on the gauge
+        h = 1e-5 * (1 + np.linalg.norm(x, axis=-1))
+        return np.stack([five_point(lambda s: self.gauge(x + np.multiply.outer(s, e)), h)
+                         for e in np.eye(self.dim)], axis=-1)
 
     # ---------------------------------------------------------------- derived quantities
 
@@ -329,110 +330,37 @@ class ConvexBody:
 
     # ---------------------------------------------------------------- slope parametrization
 
-    def slope_point(self, t):
-        """Boundary point (x(t), y(t)) with y/x = t and x > 0; t may be inf."""
-        if self.dim != 2:
-            raise DimensionError("slope parametrization needs a planar body")
-        if np.isinf(t):
-            u = np.array([0.0, 1.0])
-            return u * self.radial(u)
-        u = np.array([1.0, float(t)])
-        return u / self.gauge(u)
-
     def slope_points(self, ts):
-        """Vectorized slope_point over an array of finite slopes."""
+        """Boundary points (x(t), y(t)) with y/x = t and x > 0, for finite slopes."""
         if self.dim != 2:
             raise DimensionError("slope parametrization needs a planar body")
-        ts = np.asarray(ts, dtype=float)
-        u = np.stack([np.ones_like(ts), ts], axis=-1)
+        u = _slope_directions(ts)
         return u / self.gauge(u)[..., None]
 
     def weight(self):
-        """Boundary weight W(t) = x(t) = 1/gauge((1, t)) with derivative oracle."""
+        """Boundary weight W(t) = x(t), derived from the gauge alone.
+
+        W(t) = 1/gauge((1, t)) and Q'(t) = d_y gauge((1, t)) / gauge((1, t));
+        rho is the radius in direction (0, 1).
+        """
         if self.dim != 2:
             raise DimensionError("boundary weight needs a planar body")
-        rho = float(self.radial(np.array([0.0, 1.0])))
 
-        def q_fn(t):
-            t = np.asarray(t, dtype=float)
-            u = np.stack([np.ones_like(t), t], axis=-1)
-            return np.log(self.gauge(u))
+        def w_fn(t):
+            return 1.0 / self.gauge(_slope_directions(t))
 
-        if self.kind == "disk":
-            r = self.params["radius"]
+        def qp_fn(t):
+            u = _slope_directions(t)
+            return self.gauge_gradient(u)[..., 1] / self.gauge(u)
 
-            def w_fn(t):
-                return r / np.sqrt(1 + np.asarray(t, dtype=float) ** 2)
-
-            def qp_fn(t):
-                t = np.asarray(t, dtype=float)
-                return t / (1 + t ** 2)
-
-            return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=r, provenance="body:disk")
-
-        if self.kind == "ellipse":
-            a, b = self.params["axes"]
-
-            def w_fn(t):
-                t = np.asarray(t, dtype=float)
-                return 1.0 / np.sqrt(1 / a ** 2 + t ** 2 / b ** 2)
-
-            def qp_fn(t):
-                t = np.asarray(t, dtype=float)
-                return (t / b ** 2) / (1 / a ** 2 + t ** 2 / b ** 2)
-
-            return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=b, provenance="body:ellipse")
-
-        if self.kind == "pnorm":
-            p = self.params["p"]
-            a, b = self.params["axes"]
-
-            def w_fn(t):
-                t = np.asarray(t, dtype=float)
-                return (a ** -p + np.abs(t) ** p / b ** p) ** (-1.0 / p)
-
-            def qp_fn(t):
-                t = np.asarray(t, dtype=float)
-                return np.sign(t) * np.abs(t) ** (p - 1) / b ** p / (a ** -p + np.abs(t) ** p / b ** p)
-
-            return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=b, provenance="body:pnorm")
-
+        kinks = ()
         if self.kind == "polygon":
-            forms = self.params["edge_forms"]
-
-            def w_fn(t):
-                t = np.asarray(t, dtype=float)
-                vals = forms[:, 0][:, None] + np.multiply.outer(forms[:, 1], np.atleast_1d(t))
-                out = 1.0 / np.max(vals, axis=0)
-                return out.reshape(np.shape(t))
-
-            def qp_fn(t):
-                # active-edge formula, exact away from the kinks
-                t = np.asarray(t, dtype=float)
-                vals = forms[:, 0][:, None] + np.multiply.outer(forms[:, 1], np.atleast_1d(t))
-                idx = np.argmax(vals, axis=0)
-                wx, wy = forms[idx, 0], forms[idx, 1]
-                out = wy / (wx + np.atleast_1d(t) * wy)
-                return out.reshape(np.shape(t))
-
             verts = self.params["vertices"]
             side = verts[:, 0] != 0
             kinks = tuple(np.unique(verts[side, 1] / verts[side, 0]).tolist())
-            return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=rho, provenance="body:polygon",
-                          kinks=kinks)
-
-        # radial samples: numeric weight with 5-point central-difference Q'
-        def w_fn(t):
-            return np.exp(-q_fn(t))
-
-        def qp_fn(t):
-            t = np.asarray(t, dtype=float)
-            h = 1e-5
-            return (q_fn(t - 2 * h) - 8 * q_fn(t - h) + 8 * q_fn(t + h)
-                    - q_fn(t + 2 * h)) / (12 * h)
-
-        return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=rho, provenance="body:radial",
-                      lower_accuracy=True)
+        return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=float(self.radial(np.array([0.0, 1.0]))),
+                      provenance=f"body:{self.kind}", lower_accuracy=self.kind == "radial",
+                      kinks=kinks)
 
     # ---------------------------------------------------------------- misc
 

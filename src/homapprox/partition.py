@@ -34,13 +34,11 @@ def g_odd(x):
 def gstar(x):
     """Even profile: 1 on [-1,1], 0 for |x| > 3, monotone on [1,3]."""
     ax = np.abs(np.asarray(x, dtype=float))
-    out = np.zeros_like(ax)
-    out = np.where(ax <= 1, 1.0, out)
-    m1 = (ax > 1) & (ax <= 2)
-    out = np.where(m1, g_odd(ax - 1.5) / 4 + 0.75, out)
-    m2 = (ax > 2) & (ax <= 3)
-    out = np.where(m2, g_odd(ax - 2.5) / 4 + 0.25, out)
-    return out
+    # each point's stage first, so g_odd runs once: (1, 2] falls from 1 to
+    # 1/2 around 1.5, (2, 3] from 1/2 to 0 around 2.5
+    outer = ax > 2
+    ramp = g_odd(ax - np.where(outer, 2.5, 1.5)) / 4 + np.where(outer, 0.25, 0.75)
+    return np.where(ax <= 1, 1.0, np.where(ax <= 3, ramp, 0.0))
 
 
 def g_1d(k, x):

@@ -83,7 +83,8 @@ class HomogeneousPoly:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != 2:
             raise DimensionError("points must be planar")
-        u, v = x[:, 0], x[:, 1]
+        # contiguous copies: every term reads both columns
+        u, v = x[:, 0].copy(), x[:, 1].copy()
         out = np.full(len(u), self.vec[0])
         yk = np.ones(len(u))
         for a in self.vec[1:]:

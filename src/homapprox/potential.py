@@ -84,11 +84,14 @@ class Weight:
         if qp_fn is None:
             def qp_fn(t, _w=w_fn):
                 t = np.asarray(t, dtype=float)
-                h = 1e-6
-                q = lambda s: -np.log(_w(s))
-                return (q(t - 2 * h) - 8 * q(t - h) + 8 * q(t + h) - q(t + 2 * h)) / (12 * h)
+                return five_point(lambda s: -np.log(_w(t + s)), 1e-6)
         rho = _limit_rho(w_fn)
         return cls(w_fn=w_fn, qp_fn=qp_fn, rho=rho, provenance=provenance)
+
+
+def five_point(f, h):
+    """Five-point central difference at offset 0 of f(s); h may be an array."""
+    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
 
 
 def _limit_rho(w_fn):

@@ -81,12 +81,7 @@ def divide_out_weight(f, w, s):
     def g(t):
         return f(t) / w.W(t) ** s
 
-    vp = [float(g(np.array(p))) for p in _LIMIT_PROBES]
-    vn = [float(g(np.array(-p))) for p in _LIMIT_PROBES]
-    for v in (vp, vn):
-        if not all(np.isfinite(v)) or abs(v[1] - v[0]) > 1e-4 * max(1.0, abs(v[1])):
-            raise ValueError("f/W^s has no finite limit at infinity")
-    return CompactifiedFunction(fn=g, at_pos_inf=vp[1], at_neg_inf=vn[1])
+    return CompactifiedFunction.from_callable(g, rtol=1e-4)
 
 
 def _harmonics(nu):

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homapprox import ConvexBody, DimensionError
+from homapprox import ConvexBody, DimensionError, HomogeneousPoly
 from homapprox.geometry import SupportLine
+from homapprox.weighted_approx import _homog_from_monomial
 
 
 def bodies():
@@ -146,3 +148,120 @@ def test_from_config_round_trip():
     assert b.kind == "polygon"
     with pytest.raises(ValueError):
         ConvexBody.from_config({"type": "blob"})
+
+
+def _radial_body(amp=0.1, phase=0.0, samples=64):
+    th = np.linspace(0, np.pi, samples, endpoint=False)
+    return ConvexBody.radial_samples(th, 1.0 + amp * np.cos(2 * th + phase))
+
+
+def _zonogon(angles, lengths):
+    """Centrally symmetric hexagon: the Minkowski sum of three segments [-g, g]."""
+    g = np.array(lengths)[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+    half = [-g[0] - g[1] - g[2], g[0] - g[1] - g[2], g[0] + g[1] - g[2]]
+    return ConvexBody.polygon(half + [-v for v in half])
+
+
+def test_weight_qp_matches_closed_forms():
+    """Q' of every body weight against a formula written from the shape alone."""
+    t = np.linspace(-30.0, 30.0, 6001)
+    cases = [(ConvexBody.disk(), t / (1 + t ** 2))]
+    for a, b in ((2.0, 1.0), (1.0, 3.0)):
+        cases.append((ConvexBody.ellipse(a, b), (t / b ** 2) / (1 / a ** 2 + t ** 2 / b ** 2)))
+    for a, b in ((1.0, 1.0), (2.0, 0.5)):
+        p = 4.0
+        cases.append((ConvexBody.pnorm_ball(p, (a, b)),
+                      np.sign(t) * np.abs(t) ** (p - 1) / b ** p
+                      / (a ** -p + np.abs(t) ** p / b ** p)))
+    for body, ref in cases:
+        qp = body.weight().Qp(t)
+        assert np.max(np.abs(qp - ref)) < 1e-13, body
+
+    # square: gauge((1, t)) = max(1, |t|), so Q' is 0 inside the kinks, 1/t beyond
+    off = np.abs(np.abs(t) - 1.0) > 1e-9
+    ref = 1.0 / np.where(np.abs(t) < 1, np.inf, t)
+    qp = ConvexBody.square().weight().Qp(t)
+    assert np.max(np.abs(qp - ref)[off]) == 0.0
+
+    # radial: Q = log sqrt(1+t^2) - log r(atan t); the five-point stencil
+    # straddling an interpolation knot is only first-order, so skip those t
+    body = _radial_body()
+    interp = body.params["interp"]
+    theta = np.arctan(t)
+    knot_gap = np.min(np.abs(np.mod(theta, 2 * np.pi)[:, None] - interp.x[None, :]), axis=1)
+    ref = t / (1 + t ** 2) - interp.derivative()(theta) / (interp(theta) * (1 + t ** 2))
+    qp = body.weight().Qp(t)
+    assert np.max(np.abs(qp - ref)[knot_gap > 1e-4]) < 1e-10
+
+
+def test_weight_rho_kinks_and_provenance():
+    hexagon = ConvexBody.polygon([(2.0, 1.0), (0.0, 1.5), (-1.0, 1.0),
+                                  (-2.0, -1.0), (0.0, -1.5), (1.0, -1.0)])
+    radial = _radial_body()
+    expected = [
+        (ConvexBody.disk(2.0), 2.0, ()),
+        (ConvexBody.ellipse(1.0, 3.0), 3.0, ()),
+        (ConvexBody.pnorm_ball(4.0, (2.0, 0.5)), 0.5, ()),
+        (ConvexBody.square(0.5), 0.5, (-1.0, 1.0)),
+        (hexagon, 1.5, (-1.0, 0.5)),
+        (radial, float(radial.params["interp"](np.pi / 2)), ()),
+    ]
+    for body, rho, kinks in expected:
+        w = body.weight()
+        assert w.rho == pytest.approx(rho, rel=1e-14), body
+        assert w.kinks == pytest.approx(kinks, rel=1e-14), body
+        assert w.provenance == f"body:{body.kind}"
+        assert w.lower_accuracy == (body.kind == "radial")
+
+
+def test_gauge_gradient_vectorized_matches_single_points():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, 5, 2))
+    for body in list(bodies().values()) + [_radial_body()]:
+        grad = body.gauge_gradient(x)
+        assert grad.shape == x.shape
+        single = np.array([body.gauge_gradient(p) for p in x.reshape(-1, 2)])
+        assert np.array_equal(grad.reshape(-1, 2), single)
+    # at a vertex the tie goes to the lower edge index (edges in CCW order)
+    corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+    assert np.array_equal(ConvexBody.square().gauge_gradient(corners),
+                          [[1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, -1.0]])
+
+
+@st.composite
+def planar_bodies(draw):
+    kind = draw(st.sampled_from(["disk", "ellipse", "pnorm", "polygon", "radial"]))
+    size = st.floats(0.3, 3.0)
+    if kind == "disk":
+        return ConvexBody.disk(draw(size))
+    if kind == "ellipse":
+        return ConvexBody.ellipse(draw(size), draw(size))
+    if kind == "pnorm":
+        return ConvexBody.pnorm_ball(draw(st.floats(1.0, 8.0)), (draw(size), draw(size)))
+    if kind == "polygon":
+        start = draw(st.floats(0.0, np.pi))
+        gaps = [draw(st.floats(0.3, 1.2)) for _ in range(2)]
+        angles = start + np.cumsum([0.0] + gaps)
+        return _zonogon(angles, [draw(st.floats(0.2, 1.5)) for _ in range(3)])
+    return _radial_body(draw(st.floats(0.0, 0.1)), draw(st.floats(0.0, np.pi)))
+
+
+@given(planar_bodies(), st.integers(1, 24),
+       st.lists(st.floats(-200.0, 200.0), min_size=1, max_size=16),
+       st.integers(0, 2 ** 31))
+@settings(max_examples=60, deadline=None)
+def test_weight_identity_property(body, n, ts, seed):
+    """h(x(t), y(t)) = W(t)^n p(t) on the slope branch, and a_n rho^n at (0, rho)."""
+    t = np.array(ts)
+    w = body.weight()
+    pts = body.slope_points(t)
+    assert np.array_equal(w.W(t), pts[:, 0])
+
+    a = np.random.default_rng(seed).standard_normal(n + 1)
+    h = _homog_from_monomial(a, n)
+    ref = w.W(t) ** n * np.polynomial.polynomial.polyval(t, a)
+    # rounding is relative to the sum of the terms' sizes, not to their sum
+    size = HomogeneousPoly.from_vector(np.abs(a))(np.abs(pts))
+    assert np.all(np.abs(h(pts) - ref) <= 1e-13 * (n + 1) * size)
+    top = h(np.array([0.0, w.rho]))
+    assert top == pytest.approx(a[n] * w.rho ** n, rel=1e-13, abs=1e-300)
