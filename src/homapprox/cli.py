@@ -193,7 +193,7 @@ def _run_approx(cfg, out):
 
 
 def _run_unity(cfg, out):
-    _validate_keys(cfg, ("body", "n", "h", "eps", "tau"))
+    _validate_keys(cfg, ("body", "n", "h"))
     body = _build_body(_require(cfg, "body", dict), "/body")
     n = _require(cfg, "n", int)
     if n % 2 != 0:
@@ -201,12 +201,11 @@ def _run_unity(cfg, out):
                           pointer="/n")
     if n < 8:
         raise ConfigError("n must be at least 8", pointer="/n")
-    kw = {"n": n // 2}
-    for key in ("h", "eps", "tau"):
-        if key in cfg:
-            _check_type(cfg[key], (int, float), f"/{key}")
-            kw[key] = float(cfg[key])
-    hp = approximate_unity(body, UnityParams(**kw))
+    h = None
+    if "h" in cfg:
+        _check_type(cfg["h"], (int, float), "/h")
+        h = float(cfg["h"])
+    hp = approximate_unity(body, UnityParams(n=n // 2, h=h))
     report = unity_error_report(body, hp)
     _write_json(os.path.join(out, "unity.json"),
                 {"polynomial": hp.to_json_obj(),

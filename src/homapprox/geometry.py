@@ -16,7 +16,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
 from .errors import BoundaryPointError, DimensionError
-from .potential import Weight, five_point
+from .potential import Weight
 
 _BOUNDARY_TOL = 1e-9
 
@@ -146,7 +146,7 @@ class ConvexBody:
         ang_ext = np.concatenate([ang_full - 2 * np.pi, ang_full, ang_full + 2 * np.pi])
         rad_ext = np.tile(rad_full, 3)
         interp = PchipInterpolator(ang_ext, rad_ext)
-        return cls("radial", 2, {"interp": interp})
+        return cls("radial", 2, {"interp": interp, "dinterp": interp.derivative()})
 
     @classmethod
     def from_config(cls, spec):
@@ -236,10 +236,12 @@ class ConvexBody:
             # vertex tie: the smallest index among ties, edges in CCW order
             idx = np.argmax(vals >= best - 1e-12 * (1 + np.abs(best)), axis=-1)
             return forms[idx]
-        # radial: five-point central differences on the gauge
-        h = 1e-5 * (1 + np.linalg.norm(x, axis=-1))
-        return np.stack([five_point(lambda s: self.gauge(x + np.multiply.outer(s, e)), h)
-                         for e in np.eye(self.dim)], axis=-1)
+        # radial: grad(|x|/r(theta)) = (x + r'(theta)/r(theta) (y, -x)) / (|x| r(theta))
+        theta = np.arctan2(x[..., 1], x[..., 0]) % (2 * np.pi)
+        r = self.params["interp"](theta)[..., None]
+        dr = self.params["dinterp"](theta)[..., None]
+        turn = np.stack([x[..., 1], -x[..., 0]], axis=-1)
+        return (x + dr / r * turn) / (np.linalg.norm(x, axis=-1, keepdims=True) * r)
 
     # ---------------------------------------------------------------- derived quantities
 

@@ -123,7 +123,7 @@ def _weierstrass_fit(body, f, m, tik=1e-10):
     return parts, resid
 
 
-def approximate_theorem1(body, f, n, m=8, delta=1e-3, unity_params=None):
+def approximate_theorem1(body, f, n, m=8, delta=1e-3):
     """Geometric route: Weierstrass stage + unity multipliers per graded part."""
     m_cap = min(24, 2 * (n - 4))
     if m > m_cap:
@@ -146,8 +146,7 @@ def approximate_theorem1(body, f, n, m=8, delta=1e-3, unity_params=None):
         hj = HomogeneousPoly.from_vector(part[:deg + 1])
         n_u = n - deg // 2
         if n_u not in unity_cache:
-            params = unity_params(n_u) if unity_params else UnityParams(n=n_u)
-            u = approximate_unity(body, params)
+            u = approximate_unity(body, UnityParams(n=n_u))
             uerr = float(np.max(np.abs(1.0 - u(pts))))
             unity_cache[n_u] = (u, uerr)
         u, uerr = unity_cache[n_u]

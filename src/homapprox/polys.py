@@ -1,18 +1,22 @@
 """Dense polynomial infrastructure.
 
 Planar homogeneous polynomials as dense coefficient vectors, low-degree
-polynomials with exponent-tuple coefficient maps, Chebyshev interpolation on
-intervals/rectangles, the even-monomial homogenization lift through a
-supporting line, and the classical off-interval growth bound (2|x|/a)^n.
+polynomials with exponent-tuple coefficient maps, the package's one
+Chebyshev-Gauss node set and samples-to-coefficients transform, Chebyshev
+interpolation on intervals/rectangles, its one Horner lift over graded parts
+(used for the even-monomial homogenization through a supporting line), and
+the classical off-interval growth bound (2|x|/a)^n.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
+from scipy.fft import dct
 
 from .errors import DimensionError, OddMonomialError, DegreeCapError
 
@@ -194,19 +198,16 @@ def _times_form(vecs, form):
     return out
 
 
-def _lift_graded(parts, w, target):
-    """sum_j <x,w>^(target-j) P_j for graded parts P_0, P_1, ... in order.
+def _lift_graded(parts, form):
+    """sum_j F^(J-j) P_j for parts P_0, ..., P_J whose degrees step by deg F.
 
-    One pass of S <- <x,w> S + P_j; every part is a length-(target+1)
-    vector (or a batch of rows with one w each) holding a homogeneous
-    polynomial of degree j, and missing top parts count as zero.
+    One Horner pass S <- F S + P_j with the homogeneous form F (one for all
+    rows, or one per row of a batch); every part is a coefficient vector of
+    the output's length, and a zero part only multiplies by F.
     """
-    s, deg = None, -1
+    s = None
     for part in parts:
-        s = part.copy() if s is None else _times_form(s, w) + part
-        deg += 1
-    for _ in range(deg, target):
-        s = _times_form(s, w)
+        s = part.copy() if s is None else _times_form(s, form) + part
     return s
 
 
@@ -226,26 +227,22 @@ def homogenize_even(p, line, target_degree):
     w = np.asarray(line.normal, dtype=float)
     if p.dim != 2 or w.shape != (2,):
         raise DimensionError("homogenization is planar")
-    parts = np.zeros((p.degree + 1, target_degree + 1))
+    parts = np.zeros((target_degree + 1, target_degree + 1))
     for (a, b), v in p.coeffs.items():
         parts[a + b, b] = v
-    return HomogeneousPoly.from_vector(_lift_graded(parts, w, target_degree))
+    return HomogeneousPoly.from_vector(_lift_graded(parts, w))
 
 
-def _cheb_nodes(n):
-    """Chebyshev-Gauss nodes (first kind), n+1 points on [-1,1]."""
-    j = np.arange(n + 1)
-    return np.cos((2 * j + 1) * np.pi / (2 * (n + 1)))
+def cheb_nodes(n):
+    """The n Chebyshev-Gauss nodes cos((k + 1/2) pi / n), k = 0, ..., n-1."""
+    return np.cos((np.arange(n) + 0.5) * np.pi / n)
 
 
-def _cheb_coeffs_1d(vals):
-    """Chebyshev coefficients from values at first-kind nodes."""
-    n = len(vals) - 1
-    j = np.arange(n + 1)
-    theta = (2 * j + 1) * np.pi / (2 * (n + 1))
-    T = np.cos(np.outer(np.arange(n + 1), theta))
-    c = (2.0 / (n + 1)) * T @ vals
-    c[0] /= 2.0
+def cheb_coeffs(vals, axis=-1):
+    """Chebyshev coefficients of the interpolant through values at
+    cheb_nodes(n) along `axis`: a DCT-II divided by n, first one halved."""
+    c = dct(vals, type=2, axis=axis) / np.shape(vals)[axis]
+    np.moveaxis(c, axis, 0)[0] *= 0.5
     return c
 
 
@@ -253,22 +250,22 @@ def _monomial_maps(degree, lo, hi):
     """Matrix M with T_j(u(s)) = sum_m M[j, m] s^m on s in [lo, hi]."""
     M = np.zeros((degree + 1, degree + 1))
     for j in range(degree + 1):
-        unit = np.zeros(j + 1)
-        unit[j] = 1.0
-        poly = np.polynomial.chebyshev.Chebyshev(unit, domain=[lo, hi])
-        mono = poly.convert(kind=np.polynomial.polynomial.Polynomial)
-        M[j, :len(mono.coef)] = mono.coef
+        mono = np.polynomial.Chebyshev.basis(j, domain=[lo, hi]).convert(
+            kind=np.polynomial.Polynomial).coef
+        M[j, :len(mono)] = mono
     return M
 
 
-def _zero_odd_if_symmetric(c, lo, hi, scale):
-    if abs(lo + hi) > 1e-14 * max(1.0, abs(hi)):
-        return c
-    odd = c[1::2]
-    if np.all(np.abs(odd) < 1e-12 * max(1.0, scale)):
-        c = c.copy()
-        c[1::2] = 0.0
-    return c
+def _zero_odd_if_symmetric(C, box, scale):
+    """C with its odd total-degree entries zeroed when every interval of the
+    box is symmetric about 0 and those entries are rounding noise."""
+    if any(abs(lo + hi) > 1e-14 * max(1.0, abs(hi)) for lo, hi in box):
+        return C
+    odd = np.indices(C.shape).sum(axis=0) % 2 == 1
+    if np.all(np.abs(C[odd]) < 1e-12 * max(1.0, scale)):
+        C = C.copy()
+        C[odd] = 0.0
+    return C
 
 
 def cheb_fit(f, box, degree):
@@ -279,39 +276,21 @@ def cheb_fit(f, box, degree):
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
-        lo, hi = box
-        u = _cheb_nodes(degree)
-        s = lo + (hi - lo) * (u + 1) / 2
-        vals = np.asarray([f(si) for si in s], dtype=float)
-        c = _cheb_coeffs_1d(vals)
-        c = _zero_odd_if_symmetric(c, lo, hi, np.max(np.abs(vals)))
-        mono = np.polynomial.chebyshev.Chebyshev(c, domain=[lo, hi]).convert(
-            kind=np.polynomial.polynomial.Polynomial).coef
-        return DensePoly(1, {(m,): mono[m] for m in range(len(mono))},
-                         cheb=(c, ((lo, hi),)))
-    (lo1, hi1), (lo2, hi2) = box
-    u = _cheb_nodes(degree)
-    s1 = lo1 + (hi1 - lo1) * (u + 1) / 2
-    s2 = lo2 + (hi2 - lo2) * (u + 1) / 2
-    vals = np.array([[f(a, b) for b in s2] for a in s1], dtype=float)
-    C = np.apply_along_axis(_cheb_coeffs_1d, 0, vals)
-    C = np.apply_along_axis(_cheb_coeffs_1d, 1, C)
-    scale = np.max(np.abs(vals))
-    if abs(lo1 + hi1) < 1e-14 * max(1.0, abs(hi1)) and \
-       abs(lo2 + hi2) < 1e-14 * max(1.0, abs(hi2)):
-        mask = (np.add.outer(np.arange(degree + 1), np.arange(degree + 1)) % 2
-                == 1)
-        if np.all(np.abs(C[mask]) < 1e-12 * max(1.0, scale)):
-            C = C.copy()
-            C[mask] = 0.0
-    M1 = _monomial_maps(degree, lo1, hi1)
-    M2 = _monomial_maps(degree, lo2, hi2)
-    A = M1.T @ C @ M2
-    coeffs = {(m, p): A[m, p] for m in range(degree + 1)
-              for p in range(degree + 1) if A[m, p] != 0.0}
-    return DensePoly(2, coeffs, cheb=(C, ((lo1, hi1), (lo2, hi2))))
+    box = np.asarray(box, dtype=float).reshape(-1, 2)
+    u = cheb_nodes(degree + 1)
+    grids = [lo + (hi - lo) * (u + 1) / 2 for lo, hi in box]
+    vals = np.array([f(*s) for s in itertools.product(*grids)],
+                    dtype=float).reshape((degree + 1,) * len(box))
+    C = vals
+    for axis in range(C.ndim):
+        C = cheb_coeffs(C, axis=axis)
+    C = _zero_odd_if_symmetric(C, box, np.max(np.abs(vals)))
+    # contract each Chebyshev axis in turn; the monomial axes collect in order
+    A = C
+    for lo, hi in box:
+        A = np.tensordot(A, _monomial_maps(degree, lo, hi), axes=(0, 0))
+    return DensePoly(len(box), dict(np.ndenumerate(A)),
+                     cheb=(C, tuple(map(tuple, box))))
 
 
 def growth_bound(n, a, x):

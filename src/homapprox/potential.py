@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import InvalidWeightError, NoConvergenceError, QuadratureError
+from .polys import cheb_coeffs, cheb_nodes
 
 _CONVEXITY_TOL = 1e-9
 
@@ -79,19 +79,15 @@ class Weight:
                    rho=np.inf, provenance="family:constant")
 
     @classmethod
-    def from_callable(cls, w_fn, qp_fn=None, provenance="analytic"):
-        """Weight from a plain W(t) evaluator; Q' by central differences."""
-        if qp_fn is None:
-            def qp_fn(t, _w=w_fn):
-                t = np.asarray(t, dtype=float)
-                return five_point(lambda s: -np.log(_w(t + s)), 1e-6)
-        rho = _limit_rho(w_fn)
-        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=rho, provenance=provenance)
+    def from_callable(cls, w_fn, provenance="analytic"):
+        """Weight from a plain W(t) evaluator; Q' by five-point differences."""
+        def qp_fn(t):
+            t, h = np.asarray(t, dtype=float), 1e-6
+            q = lambda s: -np.log(w_fn(t + s))
+            return (q(-2 * h) - 8 * q(-h) + 8 * q(h) - q(2 * h)) / (12 * h)
 
-
-def five_point(f, h):
-    """Five-point central difference at offset 0 of f(s); h may be an array."""
-    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=_limit_rho(w_fn),
+                   provenance=provenance)
 
 
 def _limit_rho(w_fn):
@@ -143,7 +139,7 @@ def check_weight(w, grid=2001, span=20.0):
         ok1 = False
 
     # |t| / W(-1/t); the value at t = 0 is the limit 1/rho
-    rho = w.rho if w.rho is not None else _limit_rho(w.w_fn)
+    rho = w.rho
     phi2 = np.empty_like(ts)
     nz = ts != 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -206,9 +202,7 @@ def _gc_moments(w, lam, a, b, m=_GC_NODES):
     F0 = (1/pi) int lam Q'(t)/sqrt((t-a)(b-t)) dt
     F1 = (1/pi) int lam Q'(t) t/sqrt((t-a)(b-t)) dt - 1
     """
-    theta = (2 * np.arange(1, m + 1) - 1) * np.pi / (2 * m)
-    u = np.cos(theta)
-    t = 0.5 * (a + b) + 0.5 * (b - a) * u
+    t = 0.5 * (a + b) + 0.5 * (b - a) * cheb_nodes(m)
     qp = w.Qp(t)
     f0 = lam * np.mean(qp)
     f1 = lam * np.mean(qp * t) - 1.0
@@ -274,15 +268,6 @@ def mrs_support(w, lam, max_iter=100):
 
 # ------------------------------------------------------------------ density
 
-def _cheb_coeffs(fn, n):
-    """Chebyshev T-coefficients of fn on [-1, 1] from Gauss nodes (DCT-II)."""
-    theta = (np.arange(n) + 0.5) * np.pi / n
-    vals = fn(np.cos(theta))
-    c = dct(vals, type=2) / n
-    c[0] *= 0.5
-    return c
-
-
 def _t_to_u_coeffs(ct):
     """Second-kind coefficients of sum ct[j] T_j via T_j = (U_j - U_{j-2})/2."""
     n = len(ct)
@@ -328,8 +313,7 @@ class EquilibriumMeasure:
         return out
 
     def mass(self, nodes=4000):
-        theta = (2 * np.arange(1, nodes + 1) - 1) * np.pi / (2 * nodes)
-        xi = np.cos(theta)
+        xi = cheb_nodes(nodes)
         return float(self.half * np.mean(1.0 / self.half - self.lam * self._S(xi)))
 
     def log_integral(self, x):
@@ -358,7 +342,7 @@ def density(w, lam, support, tail_tol=1e-10, max_degree=4096):
 
     n = 64
     while True:
-        ct = _cheb_coeffs(lambda u: w.Qp(mid + half * u), n)
+        ct = cheb_coeffs(w.Qp(mid + half * cheb_nodes(n)))
         scale = max(1.0, np.max(np.abs(ct)))
         if np.max(np.abs(ct[-5:])) < tail_tol * scale:
             break
@@ -370,11 +354,10 @@ def density(w, lam, support, tail_tol=1e-10, max_degree=4096):
     return EquilibriumMeasure(lam=lam, a=a, b=b, weight=w, _cu=cu)
 
 
-def equilibrium_check(em, w=None, grid=401):
+def equilibrium_check(em, grid=401):
     """Max deviation of int log|t-x| V dt - lam*Q(x) from its fitted constant."""
-    w = w if w is not None else em.weight
     xs = em.mid + em.half * np.cos(np.linspace(0.05, np.pi - 0.05, grid))
-    dev = em.log_integral(xs) - em.lam * w.Q(xs)
+    dev = em.log_integral(xs) - em.lam * em.weight.Q(xs)
     return float(np.max(np.abs(dev - np.mean(dev))))
 
 

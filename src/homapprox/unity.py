@@ -13,56 +13,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .errors import UnsupportedBodyError, DimensionError
 from .partition import sphere_patches
-from .polys import HomogeneousPoly, _lift_graded, _times_form
+from .polys import (HomogeneousPoly, _lift_graded, _times_form, cheb_coeffs,
+                    cheb_nodes)
 from .report import ApproxReport
+
+
+_FIT_RADIUS = 2.2   # fit interval half-length, in units of delta_K
+_FIT_NODES = 4096   # Chebyshev sample count for the projection
 
 
 @dataclass
 class UnityParams:
-    """Degree and mesh parameters for the unity construction.
+    """Degree n and mesh size h of the unity construction.
 
-    `m` and `gamma` follow the asymptotic recipe (smallest m with
-    (m*eps - d)/(1 + m + eps + d) > tau*eps, gamma = (1+m)/(1+m+eps+d));
-    the default mesh uses a calibrated desk-scale schedule instead of
-    n^(-gamma) because the asymptotic mesh is far below what a degree-2n
-    Chebyshev fit can resolve at practical n.  Setting `gamma` or `h`
-    explicitly restores the prescribed behavior.
+    The default mesh is the calibrated desk-scale schedule
+    clip(2.8/n, 0.1, 0.35), not the paper's asymptotic n^(-gamma): that mesh
+    is far below what a degree-2n Chebyshev fit can resolve at practical n.
+    Pass h=n**-gamma to use it anyway.
     """
 
     n: int
-    eps: float = 1.0
-    tau: float = 0.5
-    m: int = None
-    gamma: float = None
     h: float = None
-    fit_radius: float = 2.2   # fit interval half-length, in units of delta_K
-    fit_nodes: int = 4096     # Chebyshev sample count for the projection
 
-    def resolve(self, d):
-        """(m, gamma, h) with defaults filled in for dimension d."""
+    def resolve(self):
+        """The mesh size h, with the default schedule filled in."""
         if self.n < 4:
             raise ValueError("n must be at least 4")
-        m = self.m
-        if m is None:
-            m = 1
-            while (m * self.eps - d) / (1 + m + self.eps + d) <= self.tau * self.eps:
-                m += 1
-        gamma = self.gamma
-        if gamma is None:
-            gamma = (1 + m) / (1 + m + self.eps + d)
-        if self.h is not None:
-            h = self.h
-        elif self.gamma is not None:
-            h = self.n ** -gamma
-        else:
-            h = float(np.clip(2.8 / self.n, 0.1, 0.35))
+        h = float(np.clip(2.8 / self.n, 0.1, 0.35)) if self.h is None else self.h
         if not (0 < h <= 1):
             raise ValueError("mesh size h must be in (0, 1]")
-        return m, gamma, h
+        return h
 
 
 def _lift_cheb(c, w, e, lo, hi, target):
@@ -77,6 +60,7 @@ def _lift_cheb(c, w, e, lo, hi, target):
     beta <x,w>.  On the supporting line pair {<x,w> = +/-1} row i restricts
     to the fitted Chebyshev sum of patch i in the tangent coordinate s.
     """
+    c = np.pad(c, ((0, 0), (0, target + 1 - c.shape[1])))
     alpha = 2.0 / (hi - lo)
     beta = -(hi + lo) / (hi - lo)
     B = alpha[:, None] * e + beta[:, None] * w
@@ -93,10 +77,10 @@ def _lift_cheb(c, w, e, lo, hi, target):
                                         - _times_form(g_prev, w2))
             yield c[:, j:j + 1] * g_cur
 
-    return _lift_graded(graded(), w, target)
+    return _lift_graded(graded(), w)
 
 
-def _patch_coeffs(body, patch, target, radius, nodes):
+def _patch_coeffs(body, patch, target, radius):
     """Truncated Chebyshev series of the ray-corrected bump on its line."""
     u = patch.anchor_direction
     p_bd = u / body.gauge(u[None, :])[0]
@@ -107,18 +91,15 @@ def _patch_coeffs(body, patch, target, radius, nodes):
     s_k = float(np.dot(p_bd, e))
     lo, hi = s_k - radius, s_k + radius
 
-    theta = (np.arange(nodes) + 0.5) * np.pi / nodes
-    ss = lo + (hi - lo) * (np.cos(theta) + 1) / 2
+    ss = lo + (hi - lo) * (cheb_nodes(_FIT_NODES) + 1) / 2
     x = x_c[None, :] + ss[:, None] * e[None, :]
     r = np.linalg.norm(x, axis=1)
     b = np.atleast_1d(patch.bump(x / r[:, None]))
-    vals = np.zeros(nodes)
+    vals = np.zeros(_FIT_NODES)
     nz = b > 0
     if np.any(nz):
         vals[nz] = b[nz] * body.gauge(x[nz]) ** target
-    c = dct(vals, type=2) / nodes
-    c[0] *= 0.5
-    return c[:target + 1], w, e, lo, hi
+    return cheb_coeffs(vals)[:target + 1], w, e, lo, hi
 
 
 def approximate_unity(body, params):
@@ -130,11 +111,11 @@ def approximate_unity(body, params):
             "body is not smooth enough for the supporting-line construction; "
             "use the planar weighted route instead")
     n = params.n
-    _, _, h = params.resolve(body.dim)
-    radius = params.fit_radius * body.delta()
+    h = params.resolve()
+    radius = _FIT_RADIUS * body.delta()
     target = 2 * n
 
-    fits = [_patch_coeffs(body, patch, target, radius, params.fit_nodes)
+    fits = [_patch_coeffs(body, patch, target, radius)
             for patch in sphere_patches(h, 2)]
     c, w, e, lo, hi = (np.array(v) for v in zip(*fits))
     return HomogeneousPoly.from_vector(

@@ -5,8 +5,8 @@ re-parametrized through the direction angle th = arctan(t): with
 g(t) = W(t) sqrt(1+t^2) it equals g^n times the trigonometric polynomials of
 degree <= n and parity n.  The discrete minimax problem is solved as a linear
 program over a theta-uniform grid in that basis, which stays well conditioned
-where raw monomials t^k fail, and converts exactly to monomial coefficients
-through binomial convolutions of (1 + i t)^m (1 + t^2)^j.
+where raw monomials t^k fail, and converts to monomial coefficients by one
+Horner pass in (1 + t^2) over the parts Re/Im (1 + i t)^m.
 
 One solver handles one parity or an even/odd pair solved jointly.  Its solve
 grid has 32 (n + 1) + 1 nodes for the largest degree n.  Every fit is checked
@@ -30,7 +30,7 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
 from .errors import DegreeCapError, UnequalLimitsError, NoConvergenceError
-from .polys import HomogeneousPoly
+from .polys import HomogeneousPoly, _lift_graded
 
 _DEGREE_CAP = 128
 _VERIFY_GRID = 40010
@@ -109,10 +109,6 @@ class WeightedApproximant:
     converged: bool
     _mono: np.ndarray = field(default=None, repr=False)
 
-    @property
-    def n(self):
-        return self.nu
-
     def _gtilde(self, t):
         return self.weight.W(t) * np.hypot(1.0, t) / self.gref
 
@@ -153,40 +149,26 @@ class WeightedApproximant:
     def monomial_coeffs(self):
         """Coefficients a_k with p_nu(t) = sum_k a_k t^k (stable conversion).
 
-        cos(m th)(1+t^2)^{m/2} = Re (1+it)^m and likewise sin -> Im give
-        p = sum_m [c_m Re + s_m Im]((1+it)^m) (1+t^2)^{(nu-m)/2} / gref^nu
-        times the correction (g/W sqrt(1+t^2))... here exactly
-        p_nu(t) = gref^{-nu} * sum over harmonics, since
-        W^nu p_nu = (g/gref)^nu * trig and g = W sqrt(1+t^2).
+        W^nu p_nu = (g/gref)^nu * trig with g = W sqrt(1+t^2), and
+        cos(m th)(1+t^2)^{m/2} = Re (1+it)^m, sin -> Im, so p_nu(t) is
+        gref^-nu H(1, t) for the homogeneous
+        H = sum_m (x^2+y^2)^{(nu-m)/2} P_m with the harmonic parts
+        P_m = c_m Re(x+iy)^m + s_m Im(x+iy)^m, summed by one Horner pass
+        S <- (x^2+y^2) S + P_m over m = nu mod 2, ..., nu.
         """
-        if self._mono is not None:
-            return self._mono
-        nu = self.nu
-        one_pt2 = np.array([1.0, 0.0, 1.0])  # 1 + t^2
-        cos_m, sin_m = _harmonics(nu)
-        acc = np.zeros(nu + 1)
-
-        def add(coef, m, part):
-            if coef == 0.0:
-                return
-            z = np.zeros(m + 1, dtype=complex)
-            for k in range(m + 1):
-                z[k] = math.comb(m, k) * (1j) ** k
-            vec = z.real if part == "re" else z.imag
-            for _ in range((nu - m) // 2):
-                vec = np.convolve(vec, one_pt2)
-            out = np.zeros(nu + 1)
-            out[:len(vec)] = vec
-            nonlocal acc
-            acc = acc + coef * out
-
-        for c, m in zip(self.cos_coef, cos_m):
-            add(c, m, "re")
-        for s, m in zip(self.sin_coef, sin_m):
-            add(s, m, "im")
-        acc = acc / self.gref ** nu
-        self._mono = acc
-        return acc
+        if self._mono is None:
+            cos_m, sin_m = _harmonics(self.nu)
+            k = np.arange(self.nu + 1)
+            # C(m, k) i^k: real for even k, imaginary for odd k
+            binom = np.frompyfunc(math.comb, 2, 1)(np.array(cos_m)[:, None], k)
+            sin_coef = np.concatenate([np.zeros(len(cos_m) - len(sin_m)),
+                                       self.sin_coef])
+            coef = np.where(k % 2 == 0, np.asarray(self.cos_coef)[:, None],
+                            sin_coef[:, None])
+            parts = binom.astype(float) * (-1.0) ** (k // 2) * coef
+            self._mono = (_lift_graded(parts, np.array([1.0, 0.0, 1.0]))
+                          / self.gref ** self.nu)
+        return self._mono
 
 
 def _grid(m):

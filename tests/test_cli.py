@@ -39,6 +39,15 @@ def test_unity_rejects_odd_output_degree(tmp_path, capsys):
     assert "/n" in capsys.readouterr().err
 
 
+def test_unity_rejects_removed_keys(tmp_path, capsys):
+    # the unity config takes no eps or tau: they changed no output
+    for key, value in (("tau", 1.0), ("eps", 0.0)):
+        cfg = write_cfg(tmp_path, {"body": {"type": "disk"}, "n": 16, key: value})
+        rc = main(["unity", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"/{key}" in capsys.readouterr().err
+
+
 def test_unknown_key_pointer(tmp_path, capsys):
     cfg = write_cfg(tmp_path, {"bodyy": {"type": "disk"}, "n": 16})
     rc = main(["unity", "--config", cfg, "--out", str(tmp_path / "o")])

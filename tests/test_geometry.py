@@ -183,15 +183,13 @@ def test_weight_qp_matches_closed_forms():
     qp = ConvexBody.square().weight().Qp(t)
     assert np.max(np.abs(qp - ref)[off]) == 0.0
 
-    # radial: Q = log sqrt(1+t^2) - log r(atan t); the five-point stencil
-    # straddling an interpolation knot is only first-order, so skip those t
+    # radial: Q = log sqrt(1+t^2) - log r(atan t), knots of the interpolant included
     body = _radial_body()
     interp = body.params["interp"]
     theta = np.arctan(t)
-    knot_gap = np.min(np.abs(np.mod(theta, 2 * np.pi)[:, None] - interp.x[None, :]), axis=1)
     ref = t / (1 + t ** 2) - interp.derivative()(theta) / (interp(theta) * (1 + t ** 2))
     qp = body.weight().Qp(t)
-    assert np.max(np.abs(qp - ref)[knot_gap > 1e-4]) < 1e-10
+    assert np.max(np.abs(qp - ref)) < 1e-13
 
 
 def test_weight_rho_kinks_and_provenance():

@@ -13,6 +13,7 @@ from homapprox import (HomogeneousPoly, DensePoly, linear_form_power,
                        growth_bound_check, OddMonomialError, DegreeCapError,
                        DimensionError)
 from homapprox.geometry import SupportLine
+from homapprox.polys import cheb_coeffs, cheb_nodes
 
 
 def test_eval_simple():
@@ -96,6 +97,24 @@ def test_homogenize_even_rejections():
         homogenize_even(DensePoly(2, {(2, 2): 1.0}), _line(0.0), 2)
     with pytest.raises(ValueError):
         homogenize_even(DensePoly(2, {(2, 0): 1.0}), _line(0.0), 3)
+
+
+@given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_cheb_coeffs_inverts_chebval_at_nodes(n, seed):
+    """Values of a degree < n Chebyshev sum at the n nodes give back its
+    coefficients, alone and along either axis of a batch of differing scales."""
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
+    u = cheb_nodes(n)
+    assert u.shape == (n,) and np.all(np.diff(u) < 0) and np.all(np.abs(u) < 1)
+    scale = np.max(np.abs(c), axis=1)
+    got = cheb_coeffs(np.polynomial.chebyshev.chebval(u, c[0]))
+    assert np.max(np.abs(got - c[0])) <= 1e-13 * scale[0]
+    vals = np.polynomial.chebyshev.chebval(u, c.T)
+    for got in (cheb_coeffs(vals, axis=1), cheb_coeffs(vals.T, axis=0).T):
+        assert got.shape == c.shape
+        assert np.all(np.max(np.abs(got - c), axis=1) <= 1e-13 * scale)
 
 
 def test_cheb_fit_polynomial_reproduction():

@@ -12,22 +12,19 @@ from homapprox.unity import _lift_cheb
 
 
 def test_resolve_defaults():
-    m, gamma, h = UnityParams(n=8, eps=1.0, tau=0.5).resolve(2)
-    assert m == 9
-    assert gamma == pytest.approx(10.0 / 13.0)
-    assert 0 < h <= 1
+    # the schedule clip(2.8/n, 0.1, 0.35) at both clips and in between
+    assert [UnityParams(n=n).resolve() for n in (4, 8, 16, 64)] == \
+        pytest.approx([0.35, 0.35, 0.175, 0.1])
+    # an explicit h wins, e.g. the paper's asymptotic mesh n^(-gamma)
+    assert UnityParams(n=16, h=16.0 ** -0.5).resolve() == 0.25
 
 
 def test_resolve_rejects_small_n():
     with pytest.raises(ValueError):
-        UnityParams(n=3).resolve(2)
-
-
-def test_resolve_explicit_gamma_uses_power_mesh():
-    p = UnityParams(n=16, gamma=0.5)
-    _, gamma, h = p.resolve(2)
-    assert gamma == 0.5
-    assert h == pytest.approx(16.0 ** -0.5)
+        UnityParams(n=3).resolve()
+    for h in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            UnityParams(n=8, h=h).resolve()
 
 
 def test_disk_unity_error_and_improvement():

@@ -215,15 +215,25 @@ def _mp_monomial_coeffs(wa):
     return [r / g for r in ref], [s / g for s in scale]
 
 
-def test_monomial_coeffs_match_mpmath_expansion():
-    body = ConvexBody.ellipse(2.0, 1.0)
+@pytest.mark.parametrize("body, degrees, coarse", [
+    (ConvexBody.ellipse(2.0, 1.0), (24, 25), False),
+    (ConvexBody.square(), (80, 79), True),
+], ids=["ellipse-24-25", "square-80-79"])
+def test_monomial_coeffs_match_mpmath_expansion(body, degrees, coarse, monkeypatch):
     w = body.weight()
     f = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
     top = np.array([[0.0, w.rho]])
     branches = [CompactifiedFunction(
         lambda t, s=s: f(s * body.slope_points(np.asarray(t, dtype=float))),
         float(f(s * top)[0]), float(f(-s * top)[0])) for s in (1.0, -1.0)]
-    fits = weighted_approx._weighted_lp(branches, w, (24, 25))
+    grid = None
+    if coarse:
+        # criterion 7's top degree.  One LP on a 4 (n + 1) + 1 grid gives a
+        # fit with coefficients of the same size (1e18) in 2 s instead of
+        # 45 s; only the conversion is under test here.
+        monkeypatch.setattr(weighted_approx, "_REFINE_ROUNDS", 0)
+        grid = 4 * (max(degrees) + 1) + 1
+    fits = weighted_approx._weighted_lp(branches, w, degrees, grid=grid)
     with mpmath.workdps(60):
         for wa in fits:
             ref, scale = _mp_monomial_coeffs(wa)
