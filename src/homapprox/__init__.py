@@ -8,7 +8,7 @@ from .errors import (
 )
 from .geometry import ConvexBody, SupportLine
 from .polys import (
-    HomogeneousPoly, DensePoly, linear_form_power, homogenize_even, cheb_fit,
+    HomogeneousPoly, DensePoly, linear_form_power, homogenize_even,
     growth_bound, growth_bound_check,
 )
 from .partition import (
@@ -36,7 +36,7 @@ __all__ = [
     "ExprDomainError",
     "ConvexBody", "SupportLine",
     "HomogeneousPoly", "DensePoly", "linear_form_power", "homogenize_even",
-    "cheb_fit", "growth_bound", "growth_bound_check",
+    "growth_bound", "growth_bound_check",
     "gstar", "g_odd", "g_1d", "g_k", "active_indices",
     "partition_sum_and_overlap", "sphere_patches", "SpherePatch",
     "Weight", "check_weight", "invert_weight", "mrs_support", "density",

@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .errors import (ConfigError, ExprError, HomApproxError)
+from .errors import (ConfigError, DimensionError, ExprError, HomApproxError)
 from .expr import parse_expr, boundary_function, line_function
 from .geometry import ConvexBody
 from .partition import partition_sum_and_overlap, active_indices
@@ -51,7 +51,7 @@ def _validate_keys(obj, allowed, pointer=""):
             raise ConfigError(f"unknown key {key!r}", pointer=f"{pointer}/{key}")
 
 
-_BODY_KEYS = ("type", "radius", "dim", "semi_axes", "vertices", "p",
+_BODY_KEYS = ("type", "radius", "semi_axes", "vertices", "p",
               "angles", "radii", "half_width")
 _WEIGHT_KEYS = ("type", "body", "m", "w")
 
@@ -62,7 +62,7 @@ def _build_body(spec, pointer):
         raise ConfigError("missing body type", pointer=f"{pointer}/type")
     try:
         return ConvexBody.from_config(spec)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, DimensionError) as exc:
         raise ConfigError(f"invalid body: {exc}", pointer=pointer)
 
 
@@ -167,7 +167,7 @@ _RESIDUAL_HEADER = ["theta", "x", "y", "f", "approx", "abs_residual"]
 # ----------------------------------------------------------------- subcommands
 
 def _run_approx(cfg, out):
-    _validate_keys(cfg, ("body", "f", "n", "route", "samples"))
+    _validate_keys(cfg, ("body", "f", "n", "route"))
     body = _build_body(_require(cfg, "body", dict), "/body")
     f, ftext = _parse_f(cfg, ("x", "y"))
     n = _require(cfg, "n", int)
@@ -177,15 +177,10 @@ def _run_approx(cfg, out):
     if route not in ("auto", "geometric", "planar"):
         raise ConfigError("route must be auto|geometric|planar",
                           pointer="/route")
-    if route == "auto":
-        if body.dim != 2:
-            raise ConfigError("no route available for this body dimension",
-                              pointer="/route")
-        route = "planar"
-    if route == "planar":
-        pair = approximate_theorem2(body, f, n)
-    else:
+    if route == "geometric":
         pair = approximate_theorem1(body, f, n)
+    else:
+        pair = approximate_theorem2(body, f, n)
     _write_json(os.path.join(out, "pair.json"), _pair_json(pair))
     _write_csv(os.path.join(out, "residuals.csv"), _RESIDUAL_HEADER,
                _residual_rows(body, f, pair))

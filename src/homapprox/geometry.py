@@ -1,14 +1,13 @@
 """Centrally symmetric convex bodies and their geometric primitives.
 
-A body is exposed through its Minkowski gauge |x|_K, radial function r(u),
-supporting hyperplanes, the diameter constant delta_K and (for planar bodies)
-the slope parametrization t -> (x(t), y(t)) that induces the boundary weight
+Every body is planar.  A body is exposed through its Minkowski gauge |x|_K,
+radial function r(u), supporting lines, the diameter constant delta_K and the
+slope parametrization t -> (x(t), y(t)) that induces the boundary weight
 W(t) = x(t).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ def _slope_directions(ts):
 
 @dataclass(frozen=True)
 class SupportLine:
-    """Supporting hyperplane {x : <x, w> = 1} touching the boundary at `base`."""
+    """Supporting line {x : <x, w> = 1} touching the boundary at `base`."""
 
     base: np.ndarray
     normal: np.ndarray
@@ -38,42 +37,37 @@ class SupportLine:
         object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
         object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
 
-    @property
-    def dim(self):
-        return self.base.shape[0]
-
     def tangent_frame(self):
-        """Orthonormal basis of the hyperplane's direction space."""
+        """Orthonormal basis [e] of the line's direction space."""
         w = self.normal
-        d = self.dim
-        if d == 2:
-            e = np.array([-w[1], w[0]]) / np.linalg.norm(w)
-            return [e]
-        # pick the axis least aligned with w, Gram-Schmidt the rest
-        axis = np.zeros(d)
-        axis[int(np.argmin(np.abs(w)))] = 1.0
-        e1 = axis - w * (axis @ w) / (w @ w)
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(w / np.linalg.norm(w), e1)
-        return [e1, e2]
+        return [np.array([-w[1], w[0]]) / np.linalg.norm(w)]
 
     def foot(self):
-        """Closest point of the hyperplane to the origin."""
+        """Closest point of the line to the origin."""
         w = self.normal
         return w / (w @ w)
 
 
+def _lengths(values, count, what):
+    """`values` as an array of `count` finite positive floats."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (count,):
+        raise DimensionError(f"{what} needs {count} values")
+    if not np.all(np.isfinite(arr) & (arr > 0)):
+        raise ValueError(f"{what} must be finite and positive")
+    return arr
+
+
 class ConvexBody:
-    """Centrally symmetric convex body given by one of several shape variants.
+    """Centrally symmetric planar convex body given by one of several shape variants.
 
     Construct through the classmethods (`disk`, `ellipse`, `polygon`,
     `pnorm_ball`, `radial_samples`).  Instances are immutable; all operations
     are pure.
     """
 
-    def __init__(self, kind, dim, params):
+    def __init__(self, kind, params):
         self.kind = kind
-        self.dim = dim
         self.params = params
         self._delta = None
         if kind == "radial":
@@ -83,24 +77,20 @@ class ConvexBody:
 
     @classmethod
     def disk(cls, radius=1.0):
-        return cls("disk", 2, {"radius": float(radius)})
-
-    @classmethod
-    def ball(cls, radius=1.0):
-        return cls("disk", 3, {"radius": float(radius)})
+        radius, = _lengths([radius], 1, "disk radius")
+        return cls("disk", {"radius": float(radius)})
 
     @classmethod
     def ellipse(cls, *semi_axes):
-        axes = np.asarray(semi_axes, dtype=float)
-        if axes.ndim != 1 or axes.shape[0] not in (2, 3):
-            raise DimensionError("ellipse/ellipsoid needs 2 or 3 semi-axes")
-        return cls("ellipse", axes.shape[0], {"axes": axes})
+        return cls("ellipse", {"axes": _lengths(semi_axes, 2, "ellipse semi-axes")})
 
     @classmethod
     def polygon(cls, vertices):
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2 or verts.shape[1] != 2 or verts.shape[0] < 4:
             raise DimensionError("polygon needs >= 4 planar vertices")
+        if not np.all(np.isfinite(verts)):
+            raise ValueError("polygon vertices must be finite")
         # order counter-clockwise by angle
         ang = np.arctan2(verts[:, 1], verts[:, 0])
         verts = verts[np.argsort(ang)]
@@ -114,27 +104,27 @@ class ConvexBody:
             a, b = verts[i], verts[(i + 1) % m]
             mat = np.array([a, b])
             forms.append(np.linalg.solve(mat, np.ones(2)))
-        return cls("polygon", 2, {"vertices": verts, "edge_forms": np.array(forms)})
+        return cls("polygon", {"vertices": verts, "edge_forms": np.array(forms)})
 
     @classmethod
     def square(cls, half_width=1.0):
-        s = float(half_width)
+        s, = _lengths([half_width], 1, "square half width")
         return cls.polygon([(s, s), (-s, s), (-s, -s), (s, -s)])
 
     @classmethod
     def pnorm_ball(cls, p, semi_axes=(1.0, 1.0)):
-        if p < 1:
-            raise ValueError("pnorm ball needs p >= 1")
-        axes = np.asarray(semi_axes, dtype=float)
-        return cls("pnorm", axes.shape[0], {"p": float(p), "axes": axes})
+        if not 1 <= p < np.inf:
+            raise ValueError("pnorm ball needs finite p >= 1")
+        axes = _lengths(semi_axes, 2, "pnorm semi-axes")
+        return cls("pnorm", {"p": float(p), "axes": axes})
 
     @classmethod
     def radial_samples(cls, angles, radii):
         """Planar body from samples of r(theta); even symmetry is enforced."""
         ang = np.asarray(angles, dtype=float) % (2 * np.pi)
         rad = np.asarray(radii, dtype=float)
-        if np.any(rad <= 0):
-            raise ValueError("radial samples must be positive")
+        if not np.all(np.isfinite(ang) & (rad > 0) & np.isfinite(rad)):
+            raise ValueError("radial samples must be finite, radii positive")
         # symmetrize: r(theta) and r(theta + pi) both contribute
         ang_full = np.concatenate([ang, (ang + np.pi) % (2 * np.pi)])
         rad_full = np.concatenate([rad, rad])
@@ -146,15 +136,14 @@ class ConvexBody:
         ang_ext = np.concatenate([ang_full - 2 * np.pi, ang_full, ang_full + 2 * np.pi])
         rad_ext = np.tile(rad_full, 3)
         interp = PchipInterpolator(ang_ext, rad_ext)
-        return cls("radial", 2, {"interp": interp, "dinterp": interp.derivative()})
+        return cls("radial", {"interp": interp, "dinterp": interp.derivative()})
 
     @classmethod
     def from_config(cls, spec):
         """Build a body from the CLI body sub-schema."""
         kind = spec["type"]
         if kind == "disk":
-            r = spec.get("radius", 1.0)
-            return cls.disk(r) if spec.get("dim", 2) == 2 else cls.ball(r)
+            return cls.disk(spec.get("radius", 1.0))
         if kind == "ellipse":
             return cls.ellipse(*spec["semi_axes"])
         if kind == "square":
@@ -172,8 +161,8 @@ class ConvexBody:
     def gauge(self, x):
         """Minkowski functional |x|_K; vectorized over leading axes."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.dim:
-            raise DimensionError(f"point dimension {x.shape[-1]} != body dimension {self.dim}")
+        if x.shape[-1] != 2:
+            raise DimensionError(f"point dimension {x.shape[-1]} != body dimension 2")
         if self.kind == "disk":
             return np.linalg.norm(x, axis=-1) / self.params["radius"]
         if self.kind == "ellipse":
@@ -255,10 +244,8 @@ class ConvexBody:
             val = float(np.max(self.params["axes"]))
         elif self.kind == "polygon":
             val = float(np.max(np.linalg.norm(self.params["vertices"], axis=1)))
-        elif self.dim == 2:
-            val = self._max_radial_2d()
         else:
-            val = self._max_radial_3d()
+            val = self._max_radial_2d()
         self._delta = val
         return val
 
@@ -276,31 +263,8 @@ class ConvexBody:
                               options={"xatol": 1e-12})
         return float(max(np.max(r), -res.fun))
 
-    def _max_radial_3d(self):
-        n = 4096
-        i = np.arange(n)
-        phi = np.arccos(1 - 2 * (i + 0.5) / n)
-        lam = np.pi * (1 + 5 ** 0.5) * i
-        dirs = np.stack([np.sin(phi) * np.cos(lam), np.sin(phi) * np.sin(lam),
-                         np.cos(phi)], axis=-1)
-        r = self.radial(dirs)
-        best = dirs[int(np.argmax(r))]
-
-        from scipy.optimize import minimize
-
-        def neg_r(ang):
-            th, ph = ang
-            u = np.array([np.sin(ph) * np.cos(th), np.sin(ph) * np.sin(th), np.cos(ph)])
-            return -self.radial(u)
-
-        th0 = math.atan2(best[1], best[0])
-        ph0 = math.acos(np.clip(best[2], -1, 1))
-        res = minimize(neg_r, np.array([th0, ph0]), method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14})
-        return float(max(np.max(r), -res.fun))
-
     def support_line(self, p):
-        """Supporting hyperplane at boundary point p, normalized to <x, w> = 1."""
+        """Supporting line at boundary point p, normalized to <x, w> = 1."""
         p = np.asarray(p, dtype=float)
         g = float(self.gauge(p))
         if abs(g - 1.0) > _BOUNDARY_TOL:
@@ -312,30 +276,16 @@ class ConvexBody:
     def boundary_points(self, n, seed=None):
         """n quasi-uniform boundary samples (random directions when seeded)."""
         if seed is not None:
-            rng = np.random.default_rng(seed)
-            if self.dim == 2:
-                theta = rng.uniform(0, 2 * np.pi, n)
-                dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-            else:
-                dirs = rng.normal(size=(n, self.dim))
-                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        elif self.dim == 2:
-            theta = 2 * np.pi * (np.arange(n) + 0.5) / n
-            dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+            theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, n)
         else:
-            i = np.arange(n)
-            phi = np.arccos(1 - 2 * (i + 0.5) / n)
-            lam = np.pi * (1 + 5 ** 0.5) * i
-            dirs = np.stack([np.sin(phi) * np.cos(lam), np.sin(phi) * np.sin(lam),
-                             np.cos(phi)], axis=-1)
+            theta = 2 * np.pi * (np.arange(n) + 0.5) / n
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
         return dirs * self.radial(dirs)[:, None]
 
     # ---------------------------------------------------------------- slope parametrization
 
     def slope_points(self, ts):
         """Boundary points (x(t), y(t)) with y/x = t and x > 0, for finite slopes."""
-        if self.dim != 2:
-            raise DimensionError("slope parametrization needs a planar body")
         u = _slope_directions(ts)
         return u / self.gauge(u)[..., None]
 
@@ -345,9 +295,6 @@ class ConvexBody:
         W(t) = 1/gauge((1, t)) and Q'(t) = d_y gauge((1, t)) / gauge((1, t));
         rho is the radius in direction (0, 1).
         """
-        if self.dim != 2:
-            raise DimensionError("boundary weight needs a planar body")
-
         def w_fn(t):
             return 1.0 / self.gauge(_slope_directions(t))
 
@@ -383,5 +330,5 @@ class ConvexBody:
             raise ValueError("radial samples do not describe a convex body")
 
     def __repr__(self):
-        return f"ConvexBody(kind={self.kind!r}, dim={self.dim})"
+        return f"ConvexBody(kind={self.kind!r})"
 

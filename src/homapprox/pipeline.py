@@ -67,8 +67,6 @@ def _pair_report(body, f, h_even, h_odd, samples=2000, pair_eval=None):
 
 def approximate_theorem2(body, f, n):
     """Planar route: weighted-minimax approximation of each parity part."""
-    if body.dim != 2:
-        raise ValueError("planar route requires a 2-D body")
     if n < 5:
         raise ValueError("n must be at least 5")
     n_even = n if n % 2 == 0 else n - 1

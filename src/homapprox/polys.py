@@ -1,16 +1,15 @@
 """Dense polynomial infrastructure.
 
 Planar homogeneous polynomials as dense coefficient vectors, low-degree
-polynomials with exponent-tuple coefficient maps, the package's one
-Chebyshev-Gauss node set and samples-to-coefficients transform, Chebyshev
-interpolation on intervals/rectangles, its one Horner lift over graded parts
-(used for the even-monomial homogenization through a supporting line), and
-the classical off-interval growth bound (2|x|/a)^n.
+monomial-form polynomials with exponent-tuple coefficient maps, the package's
+one Chebyshev-Gauss node set and samples-to-coefficients transform, its one
+Horner lift over graded parts (used for the even-monomial homogenization
+through a supporting line), and the classical off-interval growth bound
+(2|x|/a)^n.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -124,13 +123,10 @@ class HomogeneousPoly:
 
 @dataclass(frozen=True)
 class DensePoly:
-    """Polynomial of bounded total degree, exponent-tuple storage."""
+    """Polynomial of bounded total degree in monomial form, exponent-tuple storage."""
 
     dim: int
     coeffs: dict = field(default_factory=dict)
-    # optional Chebyshev data (coeffs, domains) kept by cheb_fit: the same
-    # polynomial in a numerically stable basis, used only for evaluation
-    cheb: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for k in self.coeffs:
@@ -152,24 +148,9 @@ class DensePoly:
         x = np.asarray(x, dtype=float)
         if self.dim == 1 and x.ndim <= 1:
             x = np.atleast_1d(x)[:, None]
-        x = np.atleast_2d(x)
-        if self.cheb is not None:
-            out = self._eval_cheb(x)
-        else:
-            exps, vals = self._table()
-            out = _eval_table(exps, vals, x)
+        exps, vals = self._table()
+        out = _eval_table(exps, vals, np.atleast_2d(x))
         return out if out.shape[0] > 1 else float(out[0])
-
-    def _eval_cheb(self, x):
-        c, domains = self.cheb
-        if self.dim == 1:
-            (lo, hi), = domains
-            u = (2 * x[:, 0] - lo - hi) / (hi - lo)
-            return np.polynomial.chebyshev.chebval(u, c)
-        (lo1, hi1), (lo2, hi2) = domains
-        u = (2 * x[:, 0] - lo1 - hi1) / (hi1 - lo1)
-        v = (2 * x[:, 1] - lo2 - hi2) / (hi2 - lo2)
-        return np.polynomial.chebyshev.chebval2d(u, v, c)
 
     def is_even(self):
         return all(sum(k) % 2 == 0 for k in self.coeffs)
@@ -244,53 +225,6 @@ def cheb_coeffs(vals, axis=-1):
     c = dct(vals, type=2, axis=axis) / np.shape(vals)[axis]
     np.moveaxis(c, axis, 0)[0] *= 0.5
     return c
-
-
-def _monomial_maps(degree, lo, hi):
-    """Matrix M with T_j(u(s)) = sum_m M[j, m] s^m on s in [lo, hi]."""
-    M = np.zeros((degree + 1, degree + 1))
-    for j in range(degree + 1):
-        mono = np.polynomial.Chebyshev.basis(j, domain=[lo, hi]).convert(
-            kind=np.polynomial.Polynomial).coef
-        M[j, :len(mono)] = mono
-    return M
-
-
-def _zero_odd_if_symmetric(C, box, scale):
-    """C with its odd total-degree entries zeroed when every interval of the
-    box is symmetric about 0 and those entries are rounding noise."""
-    if any(abs(lo + hi) > 1e-14 * max(1.0, abs(hi)) for lo, hi in box):
-        return C
-    odd = np.indices(C.shape).sum(axis=0) % 2 == 1
-    if np.all(np.abs(C[odd]) < 1e-12 * max(1.0, scale)):
-        C = C.copy()
-        C[odd] = 0.0
-    return C
-
-
-def cheb_fit(f, box, degree):
-    """Tensor Chebyshev interpolant of f on an interval or rectangle.
-
-    box is (lo, hi) for one variable or ((lo1,hi1),(lo2,hi2)) for two;
-    returns a DensePoly in the box coordinates (monomial basis).
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    box = np.asarray(box, dtype=float).reshape(-1, 2)
-    u = cheb_nodes(degree + 1)
-    grids = [lo + (hi - lo) * (u + 1) / 2 for lo, hi in box]
-    vals = np.array([f(*s) for s in itertools.product(*grids)],
-                    dtype=float).reshape((degree + 1,) * len(box))
-    C = vals
-    for axis in range(C.ndim):
-        C = cheb_coeffs(C, axis=axis)
-    C = _zero_odd_if_symmetric(C, box, np.max(np.abs(vals)))
-    # contract each Chebyshev axis in turn; the monomial axes collect in order
-    A = C
-    for lo, hi in box:
-        A = np.tensordot(A, _monomial_maps(degree, lo, hi), axes=(0, 0))
-    return DensePoly(len(box), dict(np.ndenumerate(A)),
-                     cheb=(C, tuple(map(tuple, box))))
 
 
 def growth_bound(n, a, x):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
+from scipy.optimize import brentq, root
 
 from .errors import InvalidWeightError, NoConvergenceError, QuadratureError
 from .polys import cheb_coeffs, cheb_nodes
@@ -34,15 +34,12 @@ class Weight:
     rho: float
     provenance: str = "analytic"
     lower_accuracy: bool = False
-    q_fn: object = None
     kinks: tuple = ()
 
     def W(self, t):
         return self.w_fn(np.asarray(t, dtype=float))
 
     def Q(self, t):
-        if self.q_fn is not None:
-            return self.q_fn(np.asarray(t, dtype=float))
         return -np.log(self.W(t))
 
     def Qp(self, t):
@@ -61,14 +58,11 @@ class Weight:
         def w_fn(t):
             return (1 + np.abs(t) ** m) ** (-1.0 / m)
 
-        def q_fn(t):
-            return np.log1p(np.abs(t) ** m) / m
-
         def qp_fn(t):
             t = np.asarray(t, dtype=float)
             return np.sign(t) * np.abs(t) ** (m - 1) / (1 + np.abs(t) ** m)
 
-        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=1.0, q_fn=q_fn,
+        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=1.0,
                    provenance=f"family:power(m={m:g})")
 
     @classmethod
@@ -194,6 +188,7 @@ def invert_weight(w):
 # ------------------------------------------------------------------ MRS support
 
 _GC_NODES = 2000
+_SUPPORT_TOL = 1e-10   # max |F| accepted from the general support solve
 
 
 def _gc_moments(w, lam, a, b, m=_GC_NODES):
@@ -209,61 +204,38 @@ def _gc_moments(w, lam, a, b, m=_GC_NODES):
     return f0, f1
 
 
-def mrs_support(w, lam, max_iter=100):
-    """Support endpoints (a, b) of the equilibrium measure for W^lambda."""
+def mrs_support(w, lam):
+    """Support endpoints (a, b) of the equilibrium measure for W^lambda.
+
+    The symmetric support [-b, b] solves the second endpoint condition by
+    bracketing; it is the answer for an even weight and the starting point of
+    a root solve of both conditions otherwise.  That solve is accepted only
+    by its residuals, never by the solver's own status.
+    """
     if lam <= 1:
         raise ValueError("mrs_support needs lambda > 1")
 
-    if w.is_even:
-        def g(b):
-            return _gc_moments(w, lam, -b, b)[1]
-
-        b_lo, b_hi = 1e-6, 1.0
-        while g(b_hi) < 0:
-            b_hi *= 2
-            if b_hi > 1e8:
-                raise NoConvergenceError("no finite support bracket found",
-                                         residuals=g(b_hi / 2))
-        b = brentq(g, b_lo, b_hi, xtol=1e-13, rtol=1e-15)
-        return (-b, b)
-
-    # general case: damped Newton on (a, b) with finite-difference Jacobian
     def g(b):
         return _gc_moments(w, lam, -b, b)[1]
 
     b_hi = 1.0
-    while g(b_hi) < 0 and b_hi < 1e8:
+    while g(b_hi) < 0:
         b_hi *= 2
-    b0 = brentq(g, 1e-6, b_hi, xtol=1e-10)
-    ab = np.array([-b0, b0])
+        if b_hi > 1e8:
+            raise NoConvergenceError("no finite support bracket found",
+                                     residuals=g(b_hi / 2))
+    b = brentq(g, 1e-6, b_hi, xtol=1e-13, rtol=1e-15)
+    if w.is_even:
+        return (-b, b)
 
     def F(ab):
         return np.array(_gc_moments(w, lam, ab[0], ab[1]))
 
-    for _ in range(max_iter):
-        f = F(ab)
-        if np.max(np.abs(f)) < 1e-13:
-            return (float(ab[0]), float(ab[1]))
-        h = 1e-7 * (1 + abs(ab[1] - ab[0]))
-        J = np.empty((2, 2))
-        for j in range(2):
-            e = np.zeros(2)
-            e[j] = h
-            J[:, j] = (F(ab + e) - F(ab - e)) / (2 * h)
-        try:
-            step = np.linalg.solve(J, f)
-        except np.linalg.LinAlgError:
-            raise NoConvergenceError("singular Jacobian in support solve", residuals=f)
-        damp = 1.0
-        for _ in range(30):
-            trial = ab - damp * step
-            if trial[0] < trial[1] and np.max(np.abs(F(trial))) < np.max(np.abs(f)):
-                ab = trial
-                break
-            damp *= 0.5
-        else:
-            raise NoConvergenceError("support Newton stalled", residuals=f)
-    raise NoConvergenceError("support Newton exceeded iteration cap", residuals=F(ab))
+    a, b = root(F, np.array([-b, b]), method="hybr").x
+    f = F((a, b))
+    if not (a < b and np.max(np.abs(f)) <= _SUPPORT_TOL):
+        raise NoConvergenceError("support solve did not converge", residuals=f)
+    return (float(a), float(b))
 
 
 # ------------------------------------------------------------------ density

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedBodyError, DimensionError
+from .errors import UnsupportedBodyError
 from .partition import sphere_patches
 from .polys import (HomogeneousPoly, _lift_graded, _times_form, cheb_coeffs,
                     cheb_nodes)
@@ -104,8 +104,6 @@ def _patch_coeffs(body, patch, target, radius):
 
 def approximate_unity(body, params):
     """Even h_2n in H^2_2n with h_2n ~ 1 on the boundary of a smooth body."""
-    if body.dim != 2:
-        raise DimensionError("unity construction implemented for planar bodies")
     if not body.is_smooth():
         raise UnsupportedBodyError(
             "body is not smooth enough for the supporting-line construction; "

@@ -49,10 +49,34 @@ def test_unity_rejects_removed_keys(tmp_path, capsys):
 
 
 def test_unknown_key_pointer(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, {"bodyy": {"type": "disk"}, "n": 16})
-    rc = main(["unity", "--config", cfg, "--out", str(tmp_path / "o")])
+    # approx takes no samples key: its report sample count is fixed
+    for sub, obj, key in (
+            ("unity", {"bodyy": {"type": "disk"}, "n": 16}, "bodyy"),
+            ("approx", {"body": {"type": "disk"}, "f": "x", "n": 8,
+                        "samples": 100}, "samples")):
+        cfg = write_cfg(tmp_path, obj)
+        rc = main([sub, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert f"/{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    '{"type": "polygon", "vertices": [[1, 0], [-1, 0]]}',
+    '{"type": "ellipse", "semi_axes": [2, 1, 1, 1]}',
+    '{"type": "ellipse", "semi_axes": [2, 1, 1]}',
+    '{"type": "ellipse", "semi_axes": [2, 1e400]}',
+    '{"type": "disk", "radius": 0}',
+    '{"type": "disk", "radius": -1}',
+    '{"type": "disk", "dim": 3}',
+    '{"type": "pnorm", "p": 1e400}',
+])
+def test_malformed_body_is_config_error(tmp_path, capsys, body):
+    # JSON reads 1e400 as inf
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"body": {body}, "f": "x", "n": 8}}')
+    rc = main(["approx", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert rc == 3
-    assert "/bodyy" in capsys.readouterr().err
+    assert " at /body" in capsys.readouterr().err
 
 
 def test_equilibrium_run_and_lam_guard(tmp_path, capsys):

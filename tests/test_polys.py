@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homapprox import (HomogeneousPoly, DensePoly, linear_form_power,
-                       homogenize_even, cheb_fit, growth_bound,
+                       homogenize_even, growth_bound,
                        growth_bound_check, OddMonomialError, DegreeCapError,
                        DimensionError)
 from homapprox.geometry import SupportLine
@@ -117,45 +117,6 @@ def test_cheb_coeffs_inverts_chebval_at_nodes(n, seed):
         assert np.all(np.max(np.abs(got - c), axis=1) <= 1e-13 * scale)
 
 
-def test_cheb_fit_polynomial_reproduction():
-    p = cheb_fit(lambda s: s ** 3, (-1.0, 1.0), 3)
-    s = np.linspace(-1, 1, 200)
-    assert np.max(np.abs(p(s) - s ** 3)) < 1e-13
-
-
-def test_cheb_fit_exp():
-    p = cheb_fit(np.exp, (-1.0, 1.0), 8)
-    s = np.linspace(-1, 1, 400)
-    assert np.max(np.abs(p(s) - np.exp(s))) < 1e-6
-
-
-def test_cheb_fit_abs_jackson_rate():
-    s = np.linspace(-1, 1, 4001)
-    errs = []
-    for n in (8, 16, 32, 64):
-        p = cheb_fit(np.abs, (-1.0, 1.0), n)
-        err = np.max(np.abs(p(s) - np.abs(s)))
-        assert err <= 1.0 / n
-        errs.append(err)
-    assert all(b < a for a, b in zip(errs, errs[1:]))
-
-
-def test_cheb_fit_even_symmetry_zeroed():
-    p = cheb_fit(lambda s: np.cos(3 * s), (-1.0, 1.0), 12)
-    assert p.is_even()
-    q = cheb_fit(lambda a, b: np.cos(a) * np.cosh(b),
-                 ((-1.0, 1.0), (-1.0, 1.0)), 8)
-    assert q.is_even()
-
-
-def test_cheb_fit_2d():
-    f = lambda a, b: np.exp(a) * np.sin(b)
-    p = cheb_fit(f, ((-1.0, 1.0), (-0.5, 0.5)), 10)
-    rng = np.random.default_rng(4)
-    pts = rng.uniform([-1, -0.5], [1, 0.5], size=(200, 2))
-    assert np.max(np.abs(p(pts) - f(pts[:, 0], pts[:, 1]))) < 1e-8
-
-
 def test_growth_bound_values():
     assert growth_bound(4, 1.0, 1.5) == pytest.approx(3.0 ** 4)
     with pytest.raises(ValueError):
@@ -163,7 +124,7 @@ def test_growth_bound_values():
     with pytest.raises(ValueError):
         growth_bound(4, -1.0, 2.0)
     # T4 at 1.5 stays below (2*1.5)^4 = 81
-    t4 = cheb_fit(lambda s: 8 * s ** 4 - 8 * s ** 2 + 1, (-1.0, 1.0), 4)
+    t4 = DensePoly(1, {(4,): 8.0, (2,): -8.0, (0,): 1.0})
     val, bound, ok = growth_bound_check(t4, 1.0, 1.5)
     assert ok and val == pytest.approx(23.5) and bound == pytest.approx(81.0)
 

@@ -1,11 +1,14 @@
 """Equilibrium measures, weight diagnostics, smooth-integral checks."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from homapprox import (ConvexBody, Weight, check_weight, invert_weight,
-                       mrs_support, density, equilibrium_check,
+from homapprox import (ConvexBody, NoConvergenceError, Weight, check_weight,
+                       invert_weight, mrs_support, density, equilibrium_check,
                        smooth_integral_diag)
+from homapprox import potential
 
 
 def disk_weight():
@@ -31,6 +34,25 @@ def test_disk_weight_support_oracle(lam, b_exact):
     a, b = mrs_support(disk_weight(), lam)
     assert a == pytest.approx(-b, abs=1e-8)
     assert b == pytest.approx(b_exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("shift", [0.3, -1.5])
+@pytest.mark.parametrize("lam", [1.2, 1.5, 2.0])
+def test_shifted_weight_support_oracle(shift, lam):
+    """A shifted disk weight, with Q' by differences, has the shifted support."""
+    w = Weight.from_callable(lambda t: 1.0 / np.sqrt(1.0 + (t - shift) ** 2))
+    a, b = mrs_support(w, lam)
+    half = np.sqrt(lam ** 2 / (lam - 1) ** 2 - 1)
+    assert max(abs(a - (shift - half)), abs(b - (shift + half))) <= 1e-8 * (b - a)
+
+
+def test_support_solve_is_judged_by_its_residuals(monkeypatch):
+    """A root solve that reports success away from the root is refused."""
+    monkeypatch.setattr(potential, "root", lambda F, x0, method:
+                        SimpleNamespace(x=x0, success=True, status=1))
+    w = Weight.from_callable(lambda t: 1.0 / np.sqrt(1.0 + (t - 0.3) ** 2))
+    with pytest.raises(NoConvergenceError):
+        mrs_support(w, 1.5)
 
 
 def test_disk_weight_equilibrium_properties():

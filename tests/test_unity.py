@@ -6,8 +6,7 @@ import pytest
 
 from homapprox import (ConvexBody, HomogeneousPoly, UnityParams,
                        approximate_unity, unity_error_report,
-                       linear_form_power, UnsupportedBodyError,
-                       DimensionError)
+                       linear_form_power, UnsupportedBodyError)
 from homapprox.unity import _lift_cheb
 
 
@@ -73,11 +72,6 @@ def test_error_report_rejects_odd_degree():
 def test_non_smooth_body_rejected():
     with pytest.raises(UnsupportedBodyError):
         approximate_unity(ConvexBody.square(), UnityParams(n=8))
-
-
-def test_three_dimensional_body_rejected():
-    with pytest.raises(DimensionError):
-        approximate_unity(ConvexBody.ball(), UnityParams(n=8))
 
 
 def _patch_geometries(rng, count):
