@@ -134,21 +134,33 @@ class SpherePatch:
         c = np.asarray(self.center, dtype=float)
         return c / np.linalg.norm(c)
 
+    @property
+    def offsets(self):
+        """Cube-pair shifts 4 k_j s_j, in the scaled coordinates xi = 6 u / h."""
+        return 4.0 * np.asarray(self.index) * np.asarray(self.signs)
+
     def bump(self, u):
         """Even bump supported on the cube pair, evaluated at directions u."""
         u = np.atleast_2d(np.asarray(u, dtype=float))
-        xi = 6.0 * u / self.h
-        pos = np.ones(u.shape[0])
-        neg = np.ones(u.shape[0])
-        for j, (kj, sj) in enumerate(zip(self.index, self.signs)):
-            if kj == 0:
-                pos = pos * gstar(xi[:, j])
-                neg = neg * gstar(xi[:, j])
-            else:
-                pos = pos * gstar(xi[:, j] - 4 * kj * sj)
-                neg = neg * gstar(xi[:, j] + 4 * kj * sj)
-        out = pos + neg
+        out = cube_pair_bump(u, self.h, self.offsets)
         return out if out.shape[0] > 1 else float(out[0])
+
+
+def cube_pair_bump(u, h, offsets):
+    """prod_j g*(xi_j - o_j) + prod_j g*(xi_j + o_j) with xi = 6 u / h.
+
+    The even bump of a `SpherePatch` at directions u (points, d).  h and the
+    offsets o (`SpherePatch.offsets`) are either one patch's or given per
+    point, as an (points, 1) column and a (points, d) array, so the bumps of
+    many patches evaluate in one pass.
+    """
+    xi = 6.0 * u / h
+    pos = np.ones(u.shape[0])
+    neg = np.ones(u.shape[0])
+    for j in range(u.shape[1]):
+        pos = pos * gstar(xi[:, j] - offsets[..., j])
+        neg = neg * gstar(xi[:, j] + offsets[..., j])
+    return pos + neg
 
 
 def sphere_patches(h, d):

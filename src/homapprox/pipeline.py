@@ -127,8 +127,10 @@ def approximate_theorem1(body, f, n, m=8, delta=1e-3):
     if m > m_cap:
         raise ValueError(f"initial Weierstrass degree {m} exceeds cap {m_cap}")
     parts, resid = _weierstrass_fit(body, f, m)
+    steps = 0
     while resid > delta and m + 2 <= m_cap:
         m += 2
+        steps += 1
         parts, resid = _weierstrass_fit(body, f, m)
     if resid > delta:
         raise EscalationError(
@@ -136,6 +138,7 @@ def approximate_theorem1(body, f, n, m=8, delta=1e-3):
             achieved=resid)
 
     unity_cache = {}
+    hits = 0
     h_even = HomogeneousPoly.zero(2, 2 * n)
     h_odd = HomogeneousPoly.zero(2, 2 * n + 1)
     bound = 0.0
@@ -143,7 +146,9 @@ def approximate_theorem1(body, f, n, m=8, delta=1e-3):
     for deg, part in enumerate(parts):
         hj = HomogeneousPoly.from_vector(part[:deg + 1])
         n_u = n - deg // 2
-        if n_u not in unity_cache:
+        if n_u in unity_cache:
+            hits += 1
+        else:
             u = approximate_unity(body, UnityParams(n=n_u))
             uerr = float(np.max(np.abs(1.0 - u(pts))))
             unity_cache[n_u] = (u, uerr)
@@ -159,5 +164,7 @@ def approximate_theorem1(body, f, n, m=8, delta=1e-3):
     report.extras["weierstrass_degree"] = m
     report.extras["weierstrass_sup_error"] = resid
     report.extras["unity_triangle_bound"] = bound
+    report.extras["weierstrass_steps"] = steps
+    report.extras["unity_cache_hits"] = hits
     return HomPair(h_even=h_even, h_odd=h_odd, route="geometric",
                    report=report)

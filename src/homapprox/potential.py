@@ -188,20 +188,37 @@ def invert_weight(w):
 # ------------------------------------------------------------------ MRS support
 
 _GC_NODES = 2000
+# Gauss-Legendre rule for each kink-free piece of a split moment integral
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _SUPPORT_TOL = 1e-10   # max |F| accepted from the general support solve
 
 
 def _gc_moments(w, lam, a, b, m=_GC_NODES):
-    """Gauss-Chebyshev values of the two endpoint conditions.
+    """Quadrature values of the two endpoint conditions.
 
     F0 = (1/pi) int lam Q'(t)/sqrt((t-a)(b-t)) dt
     F1 = (1/pi) int lam Q'(t) t/sqrt((t-a)(b-t)) dt - 1
+
+    Under t = (a+b)/2 + (b-a)/2 cos(phi) both are means over phi in [0, pi],
+    taken by the m-node Gauss-Chebyshev (midpoint in phi) rule.  That rule is
+    only first-order across a jump of Q', so when kinks of W lie in (a, b),
+    [0, pi] is split at their phi and each piece gets Gauss-Legendre.
     """
-    t = 0.5 * (a + b) + 0.5 * (b - a) * cheb_nodes(m)
+    c, r = 0.5 * (a + b), 0.5 * (b - a)
+    kinks = [k for k in w.kinks if a < k < b]
+    if not kinks:
+        t = c + r * cheb_nodes(m)
+        qp = w.Qp(t)
+        f0 = lam * np.mean(qp)
+        f1 = lam * np.mean(qp * t) - 1.0
+        return f0, f1
+    phi = np.sort(np.arccos(np.clip((np.array(kinks) - c) / r, -1.0, 1.0)))
+    ends = np.concatenate([[0.0], phi, [np.pi]])
+    mid, half = (ends[1:] + ends[:-1]) / 2, (ends[1:] - ends[:-1]) / 2
+    t = c + r * np.cos((mid[:, None] + half[:, None] * _GL_X).ravel())
+    wt = (half[:, None] * _GL_W).ravel() / np.pi
     qp = w.Qp(t)
-    f0 = lam * np.mean(qp)
-    f1 = lam * np.mean(qp * t) - 1.0
-    return f0, f1
+    return lam * np.sum(wt * qp), lam * np.sum(wt * qp * t) - 1.0
 
 
 def mrs_support(w, lam):

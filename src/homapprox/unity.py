@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnsupportedBodyError
-from .partition import sphere_patches
+from .partition import cube_pair_bump, sphere_patches
 from .polys import (HomogeneousPoly, _lift_graded, _times_form, cheb_coeffs,
                     cheb_nodes)
 from .report import ApproxReport
@@ -23,6 +23,9 @@ from .report import ApproxReport
 
 _FIT_RADIUS = 2.2   # fit interval half-length, in units of delta_K
 _FIT_NODES = 4096   # Chebyshev sample count for the projection
+_FIT_T = (cheb_nodes(_FIT_NODES) + 1) / 2   # the fit nodes mapped to [0, 1]
+_WINDOW_MARGIN = 1e-9   # support-window widening, relative to hi - lo
+_CUBE_CORNERS = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
 
 
 @dataclass
@@ -80,26 +83,62 @@ def _lift_cheb(c, w, e, lo, hi, target):
     return _lift_graded(graded(), w)
 
 
-def _patch_coeffs(body, patch, target, radius):
-    """Truncated Chebyshev series of the ray-corrected bump on its line."""
-    u = patch.anchor_direction
-    p_bd = u / body.gauge(u[None, :])[0]
-    line = body.support_line(p_bd)
-    w = np.asarray(line.normal, dtype=float)
-    e = line.tangent_frame()[0]
-    x_c = line.foot()
-    s_k = float(np.dot(p_bd, e))
-    lo, hi = s_k - radius, s_k + radius
+def _support_window(patch, w, e):
+    """(a, b) such that the patch's bump vanishes on {<x,w> = 1} off s in (a, b).
 
-    ss = lo + (hi - lo) * (cheb_nodes(_FIT_NODES) + 1) / 2
-    x = x_c[None, :] + ss[:, None] * e[None, :]
+    The bump is nonzero only at directions inside its open cube pair.  A
+    direction v with <v,w> > 0 meets the line at s = <v,e>/<v,w>, so a cube's
+    cone meets it in the s-interval spanned by the cube's corners.  A cube
+    with no corner on the line's side misses it; one straddling <x,w> = 0
+    gets the whole line.
+    """
+    corners = patch.center + patch.h / 2 * _CUBE_CORNERS
+    a, b = np.inf, -np.inf
+    for v in (corners, -corners):
+        vw = v @ w
+        if np.all(vw <= 0):
+            continue
+        if np.any(vw <= 0):
+            return -np.inf, np.inf
+        s = (v @ e) / vw
+        a, b = min(a, s.min()), max(b, s.max())
+    return a, b
+
+
+def _patch_coeffs(body, patches, target, radius):
+    """Truncated Chebyshev series of each ray-corrected bump on its line.
+
+    One row per patch of c, w, e, lo and hi.  A bump is evaluated only at the
+    nodes inside its support window (widened by a relative margin against
+    rounding; every other node is exactly 0), and the window nodes of all
+    patches go through one bump evaluation, one gauge call and one batched
+    transform.
+    """
+    geometry = []
+    for patch in patches:
+        u = patch.anchor_direction
+        p_bd = u / body.gauge(u[None, :])[0]
+        line = body.support_line(p_bd)
+        w = np.asarray(line.normal, dtype=float)
+        e = line.tangent_frame()[0]
+        s_k = float(np.dot(p_bd, e))
+        geometry.append((w, e, line.foot(), s_k - radius, s_k + radius,
+                         *_support_window(patch, w, e)))
+    w, e, x_c, lo, hi, a, b = (np.array(v) for v in zip(*geometry))
+
+    ss = lo[:, None] + (hi - lo)[:, None] * _FIT_T
+    margin = _WINDOW_MARGIN * (hi - lo)
+    rows, cols = np.nonzero((ss >= (a - margin)[:, None])
+                            & (ss <= (b + margin)[:, None]))
+    x = x_c[rows] + ss[rows, cols][:, None] * e[rows]
     r = np.linalg.norm(x, axis=1)
-    b = np.atleast_1d(patch.bump(x / r[:, None]))
-    vals = np.zeros(_FIT_NODES)
-    nz = b > 0
-    if np.any(nz):
-        vals[nz] = b[nz] * body.gauge(x[nz]) ** target
-    return cheb_coeffs(vals)[:target + 1], w, e, lo, hi
+    h = np.array([p.h for p in patches])[rows, None]
+    offsets = np.array([p.offsets for p in patches])[rows]
+    bump = cube_pair_bump(x / r[:, None], h, offsets)
+    vals = np.zeros(ss.shape)
+    nz = bump > 0
+    vals[rows[nz], cols[nz]] = bump[nz] * body.gauge(x[nz]) ** target
+    return cheb_coeffs(vals, axis=1)[:, :target + 1], w, e, lo, hi
 
 
 def approximate_unity(body, params):
@@ -113,9 +152,7 @@ def approximate_unity(body, params):
     radius = _FIT_RADIUS * body.delta()
     target = 2 * n
 
-    fits = [_patch_coeffs(body, patch, target, radius)
-            for patch in sphere_patches(h, 2)]
-    c, w, e, lo, hi = (np.array(v) for v in zip(*fits))
+    c, w, e, lo, hi = _patch_coeffs(body, sphere_patches(h, 2), target, radius)
     return HomogeneousPoly.from_vector(
         _lift_cheb(c, w, e, lo, hi, target).sum(axis=0))
 

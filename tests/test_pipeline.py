@@ -121,3 +121,26 @@ def test_exact_pair_takes_one_lp_solve():
     pair = approximate_theorem2(ConvexBody.disk(), f_one, 17)
     assert pair.report.extras["lp_solves"] == 1
     assert pair.report.extras["refine_converged"] is True
+
+
+@pytest.mark.parametrize("m0", [8, 2])
+def test_theorem1_run_counters(monkeypatch, m0):
+    """weierstrass_steps counts the +2 escalations past the initial m, and
+    unity_cache_hits the graded parts whose multiplier came from the cache."""
+    from homapprox import pipeline
+    calls = []
+    unity = pipeline.approximate_unity
+    monkeypatch.setattr(pipeline, "approximate_unity",
+                        lambda body, params: calls.append(params.n)
+                        or unity(body, params))
+    f = lambda p: np.exp(p[:, 0])
+    pair = approximate_theorem1(ConvexBody.ellipse(2.0, 1.0), f, 16, m=m0)
+    ex = pair.report.extras
+    m = ex["weierstrass_degree"]
+    assert ex["weierstrass_steps"] == (m - m0) // 2
+    # parts of degree 0..m need the multipliers n - deg // 2: m // 2 + 1 calls
+    assert calls == [16 - k for k in range(m // 2 + 1)]
+    assert ex["unity_cache_hits"] == m + 1 - len(calls) == m - m // 2
+    assert sorted(ex) == ["unity_cache_hits", "unity_triangle_bound",
+                          "validation_sup_error", "weierstrass_degree",
+                          "weierstrass_steps", "weierstrass_sup_error"]

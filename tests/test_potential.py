@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -44,6 +45,40 @@ def test_shifted_weight_support_oracle(shift, lam):
     a, b = mrs_support(w, lam)
     half = np.sqrt(lam ** 2 / (lam - 1) ** 2 - 1)
     assert max(abs(a - (shift - half)), abs(b - (shift + half))) <= 1e-8 * (b - a)
+
+
+def _square_support_condition(lam, b):
+    """(lam/pi) int Q'(t) t / sqrt(b^2 - t^2) dt - 1 for the square's weight
+    W(t) = 1/max(1, |t|), in 40-digit quadrature split at its kinks +/-1."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(b)
+        tail = mpmath.quad(lambda t: 1 / mpmath.sqrt(b * b - t * t), [1, b])
+        return float(2 * lam / mpmath.pi * tail - 1)
+
+
+@pytest.mark.parametrize("lam", [1.2, 1.5, 2.0])
+def test_square_weight_support_oracle(lam):
+    """The square's support is +/-1/cos(pi/(2 lam)), across its kinks."""
+    b_exact = 1 / np.cos(np.pi / (2 * lam))
+    assert abs(_square_support_condition(lam, b_exact)) < 1e-14
+    a, b = mrs_support(ConvexBody.square().weight(), lam)
+    assert a == -b
+    assert b == pytest.approx(b_exact, rel=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1.2, 1.5, 2.0])
+def test_hexagon_weight_support_solves_both_conditions(lam):
+    """An asymmetric hexagon's weight is neither even nor smooth; its support
+    solves both endpoint conditions in an independent quadrature."""
+    v = np.array([(1.0, 0.2), (0.3, 1.0), (-0.8, 0.7)])
+    w = ConvexBody.polygon(np.concatenate([v, -v])).weight()
+    a, b = mrs_support(w, lam)
+    pieces = [a] + [k for k in w.kinks if a < k < b] + [b]
+    with mpmath.workdps(30):
+        for power, want in ((0, 0.0), (1, 1.0)):
+            val = mpmath.quad(lambda t: float(w.Qp(float(t))) * t ** power
+                              / mpmath.sqrt((t - a) * (b - t)), pieces)
+            assert abs(float(lam * val / mpmath.pi) - want) < 1e-9
 
 
 def test_support_solve_is_judged_by_its_residuals(monkeypatch):
