@@ -8,16 +8,20 @@ program over a theta-uniform grid in that basis, which stays well conditioned
 where raw monomials t^k fail, and converts to monomial coefficients by one
 Horner pass in (1 + t^2) over the parts Re/Im (1 + i t)^m.
 
-One solver handles one parity or an even/odd pair solved jointly.  Its solve
-grid has 32 (n + 1) + 1 nodes for the largest degree n.  Every fit is checked
-on a fixed verification grid of 40010 nodes, independent of the solve grid;
-the kinks of W (a polygon's vertex slopes) join both grids.  While the
-verified error exceeds the LP error by more than 1%, the worst verification
-nodes join the LP and it is solved again, for at most four rounds.  The stop
-test has an absolute floor of 1e-10 max|f|, because the LP objective of a
-near-exact fit falls below the solver's tolerance (~1e-7) and a purely
-relative test would never pass.  The reported sup error is the larger of the
-LP error and the verified one.
+One solver handles one parity or an even/odd pair solved jointly, by a
+multi-point exchange.  The LP starts on 4 (n + 1) + 1 nodes for the largest
+degree n; each fit is checked on a fixed grid of 40010 nodes, and the kinks of
+W (a polygon's vertex slopes) join both.  While the verified error exceeds the
+LP error by more than 1%, every local maximum above the LP error of a branch's
+residual on that periodic grid joins the LP, at most twice the basis size of
+them (the largest) per round, which bounds the growth at the noise floor; at
+most four rounds.  The stop test has an absolute floor of 1e-10 max|f|: the LP
+objective of a near-exact fit falls below the solver's tolerance (~1e-7), so a
+purely relative test would never pass.  Added nodes can only raise the LP
+optimum, so a round whose LP error does not rise has stalled at that tolerance
+and stops unconverged.  The iterate returned is the one with the least sup
+error, the larger of its LP and verified errors.  The LP stays on HiGHS's
+default: its interior point loses digits on exact fits and stalls at n = 80.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ class WeightedApproximant:
     sin_coef: np.ndarray
     sup_error: float
     lp_solves: int
+    lp_rows: int
     converged: bool
     _mono: np.ndarray = field(default=None, repr=False)
 
@@ -241,7 +246,7 @@ def _weighted_lp(branches, w, degrees, grid=None):
     if max(degrees) > _DEGREE_CAP:
         raise DegreeCapError(f"degree {max(degrees)} beyond cap {_DEGREE_CAP}")
     if grid is None:
-        grid = 32 * (max(degrees) + 1) + 1
+        grid = 4 * (max(degrees) + 1) + 1
     kinks = np.asarray(w.kinks, dtype=float)
 
     def nodes(m):
@@ -268,30 +273,39 @@ def _weighted_lp(branches, w, degrees, grid=None):
     B, fs = system(*nodes(grid))
     A = np.vstack([B * s for s in signs])
     b = fs.ravel()
-    inject = 4 * sum(nu + 2 for nu in degrees)
-    lp_solves = 0
+    cap = 2 * A.shape[1]
+    lp_solves, last, best = 0, -np.inf, (np.inf, None)
     while True:
         coef, err = _solve_lp(A, b)
         lp_solves += 1
         resid = np.abs((signs * coef) @ Bv.T - fv)
         dense_err = float(np.max(resid))
+        best = min(best, (float(max(err, dense_err)), coef),
+                   key=lambda it: it[0])
         converged = bool(dense_err <= max(1.01 * err, floor))
-        if converged or lp_solves > _REFINE_ROUNDS:
+        # added rows can only raise the LP optimum: a flat one has stalled
+        # at the solver's tolerance
+        if converged or lp_solves > _REFINE_ROUNDS or err <= last:
             break
-        # Remez-style injection of the worst verification nodes
-        branch, node = np.divmod(np.argsort(resid, axis=None)[-inject:],
-                                 len(tv))
+        last = err
+        # multi-point exchange: every local maximum above the LP error of
+        # each branch's residual on the periodic grid (the kinks are solved)
+        r = resid[:, :_VERIFY_GRID]
+        branch, node = np.nonzero((r > np.roll(r, 1, axis=1))
+                                  & (r >= np.roll(r, -1, axis=1)) & (r > err))
+        keep = np.argsort(r[branch, node])[-cap:]
+        branch, node = branch[keep], node[keep]
         A = np.vstack([A, Bv[node] * signs[branch]])
         b = np.concatenate([b, fv[branch, node]])
 
-    sup = float(max(err, dense_err))
+    sup, coef = best
     out, lo = [], 0
     for nu in degrees:
         nc = len(_harmonics(nu)[0])
         out.append(WeightedApproximant(
             nu=nu, weight=w, gref=gref, cos_coef=coef[lo:lo + nc],
             sin_coef=coef[lo + nc:lo + nu + 1], sup_error=sup,
-            lp_solves=lp_solves, converged=converged))
+            lp_solves=lp_solves, lp_rows=2 * len(A), converged=converged))
         lo += nu + 1
     return out
 

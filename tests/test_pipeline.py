@@ -121,6 +121,8 @@ def test_exact_pair_takes_one_lp_solve():
     pair = approximate_theorem2(ConvexBody.disk(), f_one, 17)
     assert pair.report.extras["lp_solves"] == 1
     assert pair.report.extras["refine_converged"] is True
+    # 4 (17 + 1) + 1 start nodes on two branches, two signs each
+    assert pair.report.extras["lp_rows"] == 2 * 2 * (4 * 18 + 1)
 
 
 @pytest.mark.parametrize("m0", [8, 2])

@@ -215,25 +215,83 @@ def _mp_monomial_coeffs(wa):
     return [r / g for r in ref], [s / g for s in scale]
 
 
-@pytest.mark.parametrize("body, degrees, coarse", [
-    (ConvexBody.ellipse(2.0, 1.0), (24, 25), False),
-    (ConvexBody.square(), (80, 79), True),
-], ids=["ellipse-24-25", "square-80-79"])
-def test_monomial_coeffs_match_mpmath_expansion(body, degrees, coarse, monkeypatch):
+def _expcos_pair(body, degrees):
+    """Joint (even, odd) fit of exp(x) cos(y) on Bd(body), with the target."""
     w = body.weight()
     f = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
     top = np.array([[0.0, w.rho]])
     branches = [CompactifiedFunction(
         lambda t, s=s: f(s * body.slope_points(np.asarray(t, dtype=float))),
         float(f(s * top)[0]), float(f(-s * top)[0])) for s in (1.0, -1.0)]
-    grid = None
+    return weighted_approx._weighted_lp(branches, w, degrees), f
+
+
+def test_exchange_error_matches_fresh_fine_grid():
+    """The square pair's sup error agrees with 400k fresh angles plus the
+    vertices, from an LP of under 1000 rows (a dense 32 (n + 1) + 1 grid
+    takes 4236)."""
+    square = ConvexBody.square()
+    (wa_e, wa_o), f = _expcos_pair(square, (32, 31))
+    pts = np.vstack([square.boundary_points(400_000),
+                     square.params["vertices"]])
+    fresh = np.max(np.abs(f(pts) - wa_e.eval_points(pts)
+                          - wa_o.eval_points(pts)))
+    assert abs(wa_e.sup_error - fresh) <= 1e-3 * fresh
+    assert wa_e.lp_rows < 1000
+
+
+def test_exchange_at_noise_floor():
+    """Near-exact fit: the exchange stops early, and a verified error above
+    the stop test's floor of 1e-10 max|f| is not called converged."""
+    (wa, _), _ = _expcos_pair(ConvexBody.ellipse(2.0, 1.0), (24, 25))
+    assert wa.lp_solves <= 3
+    assert wa.sup_error < 1e-8
+    assert wa.converged is bool(wa.sup_error <= 1e-10 * np.e ** 2)
+
+
+def test_exchange_returns_no_worse_than_first_round(monkeypatch):
+    square = ConvexBody.square()
+    (full, _), _ = _expcos_pair(square, (16, 15))
+    monkeypatch.setattr(weighted_approx, "_REFINE_ROUNDS", 0)
+    (first, _), _ = _expcos_pair(square, (16, 15))
+    assert full.lp_solves > 1 and first.lp_solves == 1
+    assert full.sup_error <= first.sup_error
+
+
+def test_exchange_returns_best_iterate(monkeypatch):
+    """A worse later round does not replace an earlier iterate."""
+    f = CompactifiedFunction(_bump, 0.0, 0.0)
+    solve = weighted_approx._solve_lp
+    calls = []
+
+    def spoiled(A, b):
+        coef, err = solve(A, b)
+        calls.append(err)
+        # every solve after the first is worse and does not stall
+        return (coef + 1.0, 2 * err) if len(calls) > 1 else (coef, err)
+
+    monkeypatch.setattr(weighted_approx, "_solve_lp", spoiled)
+    monkeypatch.setattr(weighted_approx, "_REFINE_ROUNDS", 1)
+    wa = weighted_minimax(f, disk_weight(), 32)
+    assert wa.lp_solves == 2 and wa.converged is False
+    monkeypatch.setattr(weighted_approx, "_solve_lp", solve)
+    monkeypatch.setattr(weighted_approx, "_REFINE_ROUNDS", 0)
+    first = weighted_minimax(f, disk_weight(), 32)
+    assert wa.sup_error == first.sup_error
+    assert np.array_equal(wa.cos_coef, first.cos_coef)
+
+
+@pytest.mark.parametrize("body, degrees, coarse", [
+    (ConvexBody.ellipse(2.0, 1.0), (24, 25), False),
+    (ConvexBody.square(), (80, 79), True),
+], ids=["ellipse-24-25", "square-80-79"])
+def test_monomial_coeffs_match_mpmath_expansion(body, degrees, coarse, monkeypatch):
     if coarse:
-        # criterion 7's top degree.  One LP on a 4 (n + 1) + 1 grid gives a
-        # fit with coefficients of the same size (1e18) in 2 s instead of
-        # 45 s; only the conversion is under test here.
+        # criterion 7's top degree.  One LP on the exchange's start grid gives
+        # a fit with coefficients of the same size (1e18) as the refined
+        # one in a fraction of the time; only the conversion is under test.
         monkeypatch.setattr(weighted_approx, "_REFINE_ROUNDS", 0)
-        grid = 4 * (max(degrees) + 1) + 1
-    fits = weighted_approx._weighted_lp(branches, w, degrees, grid=grid)
+    fits, _ = _expcos_pair(body, degrees)
     with mpmath.workdps(60):
         for wa in fits:
             ref, scale = _mp_monomial_coeffs(wa)
