@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EscalationError
 from .polys import HomogeneousPoly
 from .report import ApproxReport
-from .unity import UnityParams, approximate_unity
+from .unity import UnityParams, approximate_unities
 from .weighted_approx import (CompactifiedFunction, _weighted_lp,
                               _homog_from_monomial)
 
@@ -138,22 +138,25 @@ def approximate_theorem1(body, f, n, m=8, delta=1e-3):
             f"Weierstrass stage stalled at degree {m} with error {resid:.3e}",
             achieved=resid)
 
-    unity_cache = {}
-    hits = 0
+    # part d takes the multiplier of degree 2(n - d//2); those sharing a
+    # mesh are built together
+    meshes = {}
+    for n_u in sorted({n - deg // 2 for deg in range(len(parts))},
+                      reverse=True):
+        params = UnityParams(n=n_u)
+        meshes.setdefault(params.resolve(), []).append(params)
+    pts = body.boundary_points(1000)
+    unity = {}
+    for group in meshes.values():
+        for params, u in zip(group, approximate_unities(body, group)):
+            unity[params.n] = (u, float(np.max(np.abs(1.0 - u(pts)))))
+
     h_even = HomogeneousPoly.zero(2, 2 * n)
     h_odd = HomogeneousPoly.zero(2, 2 * n + 1)
     bound = 0.0
-    pts = body.boundary_points(1000)
     for deg, part in enumerate(parts):
         hj = HomogeneousPoly.from_vector(part[:deg + 1])
-        n_u = n - deg // 2
-        if n_u in unity_cache:
-            hits += 1
-        else:
-            u = approximate_unity(body, UnityParams(n=n_u))
-            uerr = float(np.max(np.abs(1.0 - u(pts))))
-            unity_cache[n_u] = (u, uerr)
-        u, uerr = unity_cache[n_u]
+        u, uerr = unity[n - deg // 2]
         lifted = hj.multiply(u)
         if deg % 2 == 0:
             h_even = h_even.add(lifted)
@@ -166,6 +169,7 @@ def approximate_theorem1(body, f, n, m=8, delta=1e-3):
     report.extras["weierstrass_sup_error"] = resid
     report.extras["unity_triangle_bound"] = bound
     report.extras["weierstrass_steps"] = steps
-    report.extras["unity_cache_hits"] = hits
+    report.extras["unity_cache_hits"] = len(parts) - len(unity)
+    report.extras["unity_meshes"] = len(meshes)
     return HomPair(h_even=h_even, h_odd=h_odd, route="geometric",
                    report=report)

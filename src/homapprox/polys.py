@@ -167,28 +167,35 @@ def linear_form_power(w, n):
 
 
 def _times_form(vecs, form):
-    """Coefficient vectors (..., L) times forms (..., m), index k = power of y.
-
-    One form per row, or one for all rows.  The product keeps the length L,
-    so its degree must stay below L.
+    """Coefficient vectors (..., L) times forms (..., m): the (..., L + m - 1)
+    products, index k = power of y.  One form per row, or one for all rows.
     """
-    out = np.zeros_like(vecs)
-    L = vecs.shape[-1]
+    out = np.zeros(vecs.shape[:-1] + (vecs.shape[-1] + form.shape[-1] - 1,))
     for i in range(form.shape[-1]):
-        out[..., i:] += form[..., i, None] * vecs[..., :L - i]
+        out[..., i:i + vecs.shape[-1]] += form[..., i, None] * vecs
     return out
 
 
-def _lift_graded(parts, form):
+def _lift_graded(parts, form, start=0):
     """sum_j F^(J-j) P_j for parts P_0, ..., P_J whose degrees step by deg F.
 
     One Horner pass S <- F S + P_j with the homogeneous form F (one for all
-    rows, or one per row of a batch); every part is a coefficient vector of
-    the output's length, and a zero part only multiplies by F.
+    rows, or one per row of a batch).  P_0 has degree `start` and the
+    output's length; each later step reads and writes only the nonzero
+    prefix of S and of P_j (a degree-d vector is zero past index d), so P_j
+    may be cut to that prefix.  Sums of different lengths J run in lockstep
+    along axis 0 of a batch: a part with fewer rows than S advances only the
+    leading rows, and the rows past it keep their finished sums.
     """
-    s = None
+    parts = iter(parts)
+    s = np.array(next(parts), dtype=float)
+    deg = start
     for part in parts:
-        s = part.copy() if s is None else _times_form(s, form) + part
+        live = s[:len(part)] if s.ndim > 1 else s
+        prod = _times_form(live[..., :deg + 1], form)
+        deg = prod.shape[-1] - 1
+        prod += part[..., :deg + 1]
+        live[..., :deg + 1] = prod
     return s
 
 

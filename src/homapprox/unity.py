@@ -6,6 +6,12 @@ series, and lifts every fit to an even homogeneous polynomial through powers
 of the supporting form <x, w>.  The ray correction gauge(x)^{2n} is folded
 into the fitted function, so the lift is exact along rays instead of relying
 on the boundary staying close to the supporting line.
+
+Approximants of several degrees on one mesh (`approximate_unities`, as the
+geometric route needs one per graded part) are built together: the patches,
+lines, support windows, bump and gauge samples are computed once, each
+degree costs one batched transform, and one homogenized Chebyshev recurrence
+feeds the Horner sums of all degrees in lockstep.
 """
 
 from __future__ import annotations
@@ -51,36 +57,49 @@ class UnityParams:
         return h
 
 
-def _lift_cheb(c, w, e, lo, hi, target):
-    """Homogeneous degree-`target` coefficient rows (powers of y ascending) of
+def _lift_cheb(cs, w, e, lo, hi, targets):
+    """Homogeneous degree-T coefficient rows (powers of y ascending) of
 
-        h(x) = sum_j c[j] * <x,w>^(target-j) * G_j(x),
+        h_T(x) = sum_j c_T[j] * <x,w>^(T-j) * G_j(x),
 
-    one row per patch: c is (patches, terms), w and e are (patches, 2), lo and
-    hi are (patches,).  G_j is the degree-j homogenization of
+    one (patches, T + 1) array per target T, one row per patch: each c_T in
+    cs is (patches, terms), w and e are (patches, 2), lo and hi are
+    (patches,).  G_j is the degree-j homogenization of
     T_j((2s - lo - hi)/(hi - lo)) under s = <x,e>/<x,w>, built by the
     recurrence G_j = 2 B G_{j-1} - <x,w>^2 G_{j-2} with B = alpha <x,e> +
-    beta <x,w>.  On the supporting line pair {<x,w> = +/-1} row i restricts
-    to the fitted Chebyshev sum of patch i in the tangent coordinate s.
+    beta <x,w>.  The recurrence runs once for all targets; their Horner
+    sums S_T <- <x,w> S_T + c_T[j] G_j run in lockstep, and each is taken at
+    step j = T.  On the supporting line pair {<x,w> = +/-1} row i of h_T
+    restricts to the fitted Chebyshev sum of patch i in the tangent
+    coordinate s.
     """
-    c = np.pad(c, ((0, 0), (0, target + 1 - c.shape[1])))
+    order = np.argsort(targets, kind="stable")[::-1]   # longest sum first
+    top = targets[order[0]]
+    c = np.zeros((len(targets), len(w), top + 1))
+    for r, t in enumerate(order):
+        c[r, :, :cs[t].shape[1]] = cs[t]
+    # rows still summing at step j: the targets with T >= j
+    live = (np.asarray(targets)[:, None] >= np.arange(top + 1)).sum(axis=0)
     alpha = 2.0 / (hi - lo)
     beta = -(hi + lo) / (hi - lo)
     B = alpha[:, None] * e + beta[:, None] * w
     w2 = np.stack([w[:, 0] ** 2, 2 * w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)
 
     def graded():
-        g_prev = np.zeros((len(c), target + 1))
-        g_prev[:, 0] = 1.0                        # G_0
-        g_cur = _times_form(g_prev, B)            # G_1
-        yield c[:, :1] * g_prev
-        for j in range(1, c.shape[1]):
+        g_prev = np.ones((len(w), 1))              # G_0
+        g_cur = _times_form(g_prev, B)             # G_1
+        yield c[:, :, :1] * np.eye(1, top + 1)     # full length, degree 0
+        for j in range(1, top + 1):
             if j > 1:
                 g_prev, g_cur = g_cur, (2 * _times_form(g_cur, B)
                                         - _times_form(g_prev, w2))
-            yield c[:, j:j + 1] * g_cur
+            yield c[:live[j], :, j:j + 1] * g_cur
 
-    return _lift_graded(graded(), w)
+    s = _lift_graded(graded(), w)
+    out = [None] * len(targets)
+    for r, t in enumerate(order):
+        out[t] = s[r, :, :targets[t] + 1].copy()
+    return out
 
 
 def _support_window(patch, w, e):
@@ -105,14 +124,17 @@ def _support_window(patch, w, e):
     return a, b
 
 
-def _patch_coeffs(body, patches, target, radius):
+def _patch_coeffs(body, patches, targets, radius):
     """Truncated Chebyshev series of each ray-corrected bump on its line.
 
-    One row per patch of c, w, e, lo and hi.  A bump is evaluated only at the
-    nodes inside its support window (widened by a relative margin against
-    rounding; every other node is exactly 0), and the window nodes of all
-    patches go through one bump evaluation, one gauge call and one batched
-    transform.
+    Returns (cs, w, e, lo, hi): one (patches, T + 1) coefficient array in cs
+    per target T, and one row per patch of the rest.  A bump is evaluated
+    only at the nodes inside its support window (widened by a relative
+    margin against rounding; every other node is exactly 0).  The line
+    geometry, the window nodes of all patches, their bump values and their
+    gauge values are computed once for all targets; each target then fills
+    one shared sample buffer with bump * gauge^T and runs one batched
+    transform, of which a copy of the kept coefficients is stored.
     """
     geometry = []
     for patch in patches:
@@ -135,26 +157,45 @@ def _patch_coeffs(body, patches, target, radius):
     h = np.array([p.h for p in patches])[rows, None]
     offsets = np.array([p.offsets for p in patches])[rows]
     bump = cube_pair_bump(x / r[:, None], h, offsets)
-    vals = np.zeros(ss.shape)
     nz = bump > 0
-    vals[rows[nz], cols[nz]] = bump[nz] * body.gauge(x[nz]) ** target
-    return cheb_coeffs(vals, axis=1)[:, :target + 1], w, e, lo, hi
+    rows, cols, bump = rows[nz], cols[nz], bump[nz]
+    gauge = body.gauge(x[nz])
+    vals = np.zeros(ss.shape)
+    cs = []
+    for target in targets:
+        vals[rows, cols] = bump * gauge ** target
+        # a copy: a slice would keep the whole transform alive
+        cs.append(cheb_coeffs(vals, axis=1)[:, :target + 1].copy())
+    return cs, w, e, lo, hi
 
 
-def approximate_unity(body, params):
-    """Even h_2n in H^2_2n with h_2n ~ 1 on the boundary of a smooth body."""
+def approximate_unities(body, params):
+    """approximate_unity for each UnityParams of one mesh, built together.
+
+    Every entry must resolve to the same mesh h, so all of them share the
+    patches, their lines and support windows, and the bump and gauge samples
+    of the fit; only the exponent 2n of the ray correction and the
+    truncation differ.  The lift runs one recurrence for all of them.
+    """
     if not body.is_smooth():
         raise UnsupportedBodyError(
             "body is not smooth enough for the supporting-line construction; "
             "use the planar weighted route instead")
-    n = params.n
-    h = params.resolve()
+    meshes = {p.resolve() for p in params}
+    if len(meshes) != 1:
+        raise ValueError(f"unity parameters span {len(meshes)} meshes, not 1")
     radius = _FIT_RADIUS * body.delta()
-    target = 2 * n
+    targets = [2 * p.n for p in params]
 
-    c, w, e, lo, hi = _patch_coeffs(body, sphere_patches(h, 2), target, radius)
-    return HomogeneousPoly.from_vector(
-        _lift_cheb(c, w, e, lo, hi, target).sum(axis=0))
+    cs, w, e, lo, hi = _patch_coeffs(body, sphere_patches(meshes.pop(), 2),
+                                     targets, radius)
+    return [HomogeneousPoly.from_vector(rows.sum(axis=0))
+            for rows in _lift_cheb(cs, w, e, lo, hi, targets)]
+
+
+def approximate_unity(body, params):
+    """Even h_2n in H^2_2n with h_2n ~ 1 on the boundary of a smooth body."""
+    return approximate_unities(body, [params])[0]
 
 
 def unity_error_report(body, hp, samples=2000):

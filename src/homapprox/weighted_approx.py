@@ -171,7 +171,8 @@ class WeightedApproximant:
             coef = np.where(k % 2 == 0, np.asarray(self.cos_coef)[:, None],
                             sin_coef[:, None])
             parts = binom.astype(float) * (-1.0) ** (k // 2) * coef
-            self._mono = (_lift_graded(parts, np.array([1.0, 0.0, 1.0]))
+            self._mono = (_lift_graded(parts, np.array([1.0, 0.0, 1.0]),
+                                       start=self.nu % 2)
                           / self.gref ** self.nu)
         return self._mono
 

@@ -13,7 +13,7 @@ from homapprox import (HomogeneousPoly, DensePoly, linear_form_power,
                        growth_bound_check, OddMonomialError, DegreeCapError,
                        DimensionError)
 from homapprox.geometry import SupportLine
-from homapprox.polys import cheb_coeffs, cheb_nodes
+from homapprox.polys import _lift_graded, cheb_coeffs, cheb_nodes
 
 
 def test_eval_simple():
@@ -88,6 +88,48 @@ def test_homogenize_even_agreement_random():
         scale = 1 + np.max(np.abs(p(pts)))
         assert np.max(np.abs(h(pts) - p(pts))) < 1e-10 * scale
         assert np.max(np.abs(h(-pts) - p(-pts))) < 1e-10 * scale
+
+
+def _full_width_horner(parts, form):
+    """S <- F S + P_j with every vector at the output's full length."""
+    s = parts[0].copy()
+    L = s.shape[-1]
+    for part in parts[1:]:
+        out = np.zeros_like(s)
+        for i in range(form.shape[-1]):
+            out[..., i:] += form[..., i, None] * s[..., :L - i]
+        s = out + part
+    return s
+
+
+@pytest.mark.parametrize("form,start", [
+    (np.array([0.6, -0.8]), 0),               # homogenize_even's <x,w>
+    (np.array([1.0, 0.0, 1.0]), 0),           # monomial_coeffs, even nu
+    (np.array([1.0, 0.0, 1.0]), 1),           # monomial_coeffs, odd nu
+])
+def test_lift_graded_matches_full_width_horner(form, start):
+    """The triangular Horner pass equals the full-width one bit for bit,
+    for a single sum and for a lockstep batch whose rows end at different
+    steps (each row against its own full-width sum)."""
+    rng = np.random.default_rng(start + len(form))
+    step = len(form) - 1
+    J = 30
+    L = start + J * step + 1
+    parts = np.zeros((J + 1, L))
+    for j in range(J + 1):
+        k = start + j * step + 1              # part j has degree k - 1
+        parts[j, :k] = rng.standard_normal(k)
+    assert np.array_equal(_lift_graded(parts, form, start=start),
+                          _full_width_horner(parts, form))
+    # three rows of parts, the last two ending after 20 and 9 steps
+    batch = rng.standard_normal((3, J + 1, L)) * (parts != 0)
+    ends = [J, 20, 9]
+    lifted = _lift_graded((batch[:sum(e >= j for e in ends), j]
+                           for j in range(J + 1)), form, start=start)
+    for r, end in enumerate(ends):
+        deg = start + end * step
+        ref = _full_width_horner(batch[r, :end + 1, :deg + 1], form)
+        assert np.array_equal(lifted[r, :deg + 1], ref), r
 
 
 def test_homogenize_even_rejections():

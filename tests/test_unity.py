@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homapprox import (ConvexBody, HomogeneousPoly, UnityParams,
-                       approximate_unity, unity_error_report,
-                       linear_form_power, UnsupportedBodyError)
+                       approximate_theorem1, approximate_unity,
+                       unity_error_report, linear_form_power,
+                       UnsupportedBodyError)
 from homapprox import unity
 from homapprox.partition import sphere_patches
 from homapprox.polys import cheb_coeffs, cheb_nodes
-from homapprox.unity import _lift_cheb, _patch_coeffs, _support_window
+from homapprox.unity import (_lift_cheb, _patch_coeffs, _support_window,
+                             approximate_unities)
 
 
 def test_resolve_defaults():
@@ -121,12 +123,12 @@ def test_lift_restricts_to_chebyshev_sum():
     target = 128
     w, e, lo, hi = _patch_geometries(rng, 4)
     c = rng.uniform(-1.0, 1.0, (4, target + 1))
-    rows = _lift_cheb(c, w, e, lo, hi, target)
+    rows, = _lift_cheb([c], w, e, lo, hi, [target])
     assert rows.shape == (4, target + 1)
     with mpmath.workdps(60):
         for i in range(4):
-            single = _lift_cheb(c[i:i + 1], w[i:i + 1], e[i:i + 1],
-                                lo[i:i + 1], hi[i:i + 1], target)
+            single, = _lift_cheb([c[i:i + 1]], w[i:i + 1], e[i:i + 1],
+                                 lo[i:i + 1], hi[i:i + 1], [target])
             # each row of a batch is the single-patch lift, bit for bit
             assert np.array_equal(single[0], rows[i])
             _check_lift_on_lines(rows[i], c[i], w[i], e[i], lo[i], hi[i])
@@ -135,8 +137,8 @@ def test_lift_restricts_to_chebyshev_sum():
 def test_lift_of_short_series_pads_with_supporting_form():
     # c = [1]: the lift is <x,w>^target itself
     w, e = np.array([[0.6, 0.8]]), np.array([[-0.8, 0.6]])
-    row = _lift_cheb(np.ones((1, 1)), w, e, np.array([-1.0]), np.array([1.0]),
-                     6)[0]
+    row = _lift_cheb([np.ones((1, 1))], w, e, np.array([-1.0]),
+                     np.array([1.0]), [6])[0][0]
     ref = linear_form_power(w[0], 6).vec
     assert np.max(np.abs(row - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -178,21 +180,27 @@ def _full_line_bump(body, patch, radius):
 @pytest.mark.parametrize("name", sorted(_FIT_BODIES))
 def test_windowed_batch_fit_matches_full_line_fit(name, h):
     """Each row of the batched, windowed fit equals, bit for bit, the fit of
-    the bump evaluated on all nodes of its line, one patch at a time."""
+    the bump evaluated on all nodes of its line, one patch and one target at
+    a time, for every target of a multi-target call."""
     body = _FIT_BODIES[name]()
     n = 16
     h = UnityParams(n=n, h=h).resolve()
-    target, radius = 2 * n, unity._FIT_RADIUS * body.delta()
+    targets = [2 * n, 2 * n - 6, 2 * n - 2]
+    radius = unity._FIT_RADIUS * body.delta()
     patches = sphere_patches(h, 2)
-    c, w, e, lo, hi = _patch_coeffs(body, patches, target, radius)
-    assert c.shape == (len(patches), target + 1)
+    cs, w, e, lo, hi = _patch_coeffs(body, patches, targets, radius)
+    assert [c.shape for c in cs] == [(len(patches), t + 1) for t in targets]
+    # each target's coefficients are their own array, not a view of the
+    # (patches, nodes) transform
+    assert all(c.base is None for c in cs)
     for i, patch in enumerate(patches):
         ss, x, b = _full_line_bump(body, patch, radius)
-        vals = np.zeros(len(ss))
-        nz = b > 0
-        vals[nz] = b[nz] * body.gauge(x[nz]) ** target
-        ref = cheb_coeffs(vals)[:target + 1]
-        assert np.array_equal(c[i], ref), (name, h, i)
+        for c, target in zip(cs, targets):
+            vals = np.zeros(len(ss))
+            nz = b > 0
+            vals[nz] = b[nz] * body.gauge(x[nz]) ** target
+            ref = cheb_coeffs(vals)[:target + 1]
+            assert np.array_equal(c[i], ref), (name, h, i, target)
         w_i, e_i, _, lo_i, hi_i = _line(body, patch, radius)
         assert np.array_equal(w[i], w_i) and np.array_equal(e[i], e_i)
         assert (lo[i], hi[i]) == (lo_i, hi_i)
@@ -231,17 +239,100 @@ def test_support_window_holds_every_nonzero_node(name, h, pick, own_line,
 
 
 def test_patch_fits_are_one_batch_per_unity_call(monkeypatch):
-    """approximate_unity fits all of its patches in one _patch_coeffs call."""
+    """A theorem-1 call fits its unity multipliers in one _patch_coeffs call
+    per distinct mesh, with one target per multiplier of that mesh, and
+    approximate_unity in one call with one target."""
     calls = []
     fit = unity._patch_coeffs
 
-    def counted(body, patches, target, radius):
-        calls.append(len(patches))
-        return fit(body, patches, target, radius)
+    def counted(body, patches, targets, radius):
+        calls.append((len(patches), list(targets)))
+        return fit(body, patches, targets, radius)
 
     monkeypatch.setattr(unity, "_patch_coeffs", counted)
     body = ConvexBody.ellipse(2.0, 1.0)
-    for n in (8, 16):
-        approximate_unity(body, UnityParams(n=n))
-    h8, h16 = UnityParams(n=8).resolve(), UnityParams(n=16).resolve()
-    assert calls == [len(sphere_patches(h8, 2)), len(sphere_patches(h16, 2))]
+    f = lambda p: np.exp(p[:, 0])
+    patches = lambda n: len(sphere_patches(UnityParams(n=n).resolve(), 2))
+    # m = 8: parts of degree 0..8 take the multipliers n, ..., n - 4; from
+    # n = 28 on they share the mesh h = 0.1
+    pair = approximate_theorem1(body, f, 32)
+    assert pair.report.extras["weierstrass_degree"] == 8
+    assert calls == [(patches(32), [64, 62, 60, 58, 56])]
+    calls.clear()
+    approximate_theorem1(body, f, 16)
+    assert calls == [(patches(k), [2 * k]) for k in (16, 15, 14, 13, 12)]
+    assert len({UnityParams(n=k).resolve() for k in range(12, 17)}) == 5
+    calls.clear()
+    approximate_unity(body, UnityParams(n=8))
+    assert calls == [(patches(8), [16])]
+
+
+def _full_width_lift(c, w, e, lo, hi, target):
+    """The single-target lift with full-length (patches, target + 1) vectors
+    at every step: the recurrence and Horner pass before the triangular,
+    multi-target one."""
+    def times_form(vecs, form):
+        out = np.zeros_like(vecs)
+        L = vecs.shape[-1]
+        for i in range(form.shape[-1]):
+            out[..., i:] += form[..., i, None] * vecs[..., :L - i]
+        return out
+
+    c = np.pad(c, ((0, 0), (0, target + 1 - c.shape[1])))
+    alpha = 2.0 / (hi - lo)
+    beta = -(hi + lo) / (hi - lo)
+    B = alpha[:, None] * e + beta[:, None] * w
+    w2 = np.stack([w[:, 0] ** 2, 2 * w[:, 0] * w[:, 1], w[:, 1] ** 2], axis=1)
+    g_prev = np.zeros((len(c), target + 1))
+    g_prev[:, 0] = 1.0
+    g_cur = times_form(g_prev, B)
+    s = c[:, :1] * g_prev
+    for j in range(1, c.shape[1]):
+        if j > 1:
+            g_prev, g_cur = g_cur, (2 * times_form(g_cur, B)
+                                    - times_form(g_prev, w2))
+        s = times_form(s, w) + c[:, j:j + 1] * g_cur
+    return s
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_multi_target_lift_matches_full_width_lift(seed):
+    """Every target of one _lift_cheb call equals, bit for bit, its own
+    full-width single-target lift; the targets are given out of order."""
+    rng = np.random.default_rng(seed)
+    targets = [int(t) for t in rng.permutation(np.arange(120, 129))]
+    w, e, lo, hi = _patch_geometries(rng, 5)
+    cs = [rng.uniform(-1.0, 1.0, (5, t + 1)) for t in targets]
+    rows = _lift_cheb(cs, w, e, lo, hi, targets)
+    for c, t, r in zip(cs, targets, rows):
+        assert r.shape == (5, t + 1)
+        assert np.array_equal(r, _full_width_lift(c, w, e, lo, hi, t)), t
+
+
+def test_multi_target_lift_of_short_series():
+    """Series shorter than target + 1 terms are padded with zeros, in a
+    multi-target call as in the single-target lift."""
+    rng = np.random.default_rng(5)
+    w, e, lo, hi = _patch_geometries(rng, 3)
+    targets = [6, 40, 24]
+    cs = [np.ones((3, 1)), rng.uniform(-1.0, 1.0, (3, 17)),
+          rng.uniform(-1.0, 1.0, (3, 25))]
+    rows = _lift_cheb(cs, w, e, lo, hi, targets)
+    for c, t, r in zip(cs, targets, rows):
+        assert np.array_equal(r, _full_width_lift(c, w, e, lo, hi, t)), t
+    for i in range(3):
+        ref = linear_form_power(w[i], 6).vec
+        assert np.max(np.abs(rows[0][i] - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_unities_of_one_mesh_match_single_calls():
+    """approximate_unities returns, bit for bit, what approximate_unity
+    returns for each entry, and rejects entries of different meshes."""
+    body = ConvexBody.pnorm_ball(4.0)
+    params = [UnityParams(n=n) for n in (30, 28, 33)]
+    for p, u in zip(params, approximate_unities(body, params)):
+        assert np.array_equal(u.vec, approximate_unity(body, p).vec)
+    with pytest.raises(ValueError):
+        approximate_unities(body, [UnityParams(n=16), UnityParams(n=15)])
+    with pytest.raises(UnsupportedBodyError):
+        approximate_unities(ConvexBody.square(), params)
