@@ -16,14 +16,13 @@ from .partition import (
     sphere_patches, SpherePatch,
 )
 from .potential import (
-    Weight, check_weight, invert_weight, mrs_support, density,
-    EquilibriumMeasure, equilibrium_check, smooth_integral_diag,
+    Weight, check_weight, mrs_support, density, EquilibriumMeasure,
+    equilibrium_check,
 )
 from .report import ApproxReport
 from .unity import UnityParams, approximate_unity, unity_error_report
 from .weighted_approx import (
     CompactifiedFunction, WeightedApproximant, weighted_minimax,
-    homog_from_weighted, divide_out_weight,
 )
 from .pipeline import HomPair, approximate_theorem1, approximate_theorem2
 from .expr import parse_expr
@@ -39,12 +38,11 @@ __all__ = [
     "growth_bound", "growth_bound_check",
     "gstar", "g_odd", "g_1d", "g_k", "active_indices",
     "partition_sum_and_overlap", "sphere_patches", "SpherePatch",
-    "Weight", "check_weight", "invert_weight", "mrs_support", "density",
-    "EquilibriumMeasure", "equilibrium_check", "smooth_integral_diag",
+    "Weight", "check_weight", "mrs_support", "density",
+    "EquilibriumMeasure", "equilibrium_check",
     "ApproxReport",
     "UnityParams", "approximate_unity", "unity_error_report",
     "CompactifiedFunction", "WeightedApproximant", "weighted_minimax",
-    "homog_from_weighted", "divide_out_weight",
     "HomPair", "approximate_theorem1", "approximate_theorem2",
     "parse_expr",
 ]

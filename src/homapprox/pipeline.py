@@ -27,7 +27,11 @@ _VALIDATION_SEED = 0xB17E
 
 @dataclass
 class HomPair:
-    """Pair (h_even, h_odd) of homogeneous polynomials with an error report."""
+    """Pair (h_even, h_odd) of homogeneous polynomials with an error report.
+
+    ``h_even(x) + h_odd(x)`` is the monomial form, accurate only while the
+    coefficients stay moderate (1e18 on the square at n = 80); the planar
+    route's ``pair(x)`` uses the stable evaluator of its weighted fits."""
 
     h_even: HomogeneousPoly
     h_odd: HomogeneousPoly

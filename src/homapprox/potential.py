@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq, root
 
-from .errors import InvalidWeightError, NoConvergenceError, QuadratureError
+from .errors import NoConvergenceError, QuadratureError
 from .polys import cheb_coeffs, cheb_nodes
 
 _CONVEXITY_TOL = 1e-9
@@ -151,38 +150,6 @@ def check_weight(w, grid=2001, span=20.0):
 
     return WeightDiagnostics(cond1_ok=ok1, cond2_ok=ok2, rho=rho,
                              worst1=worst1, worst2=worst2)
-
-
-def invert_weight(w):
-    """W0(x) = W(-1/x)/|x|; swaps the roles of the two conditions."""
-    diag = check_weight(w)
-    if not diag.ok:
-        raise InvalidWeightError("weight fails the positivity/convexity conditions")
-
-    rho = w.rho
-    w0_at_0 = rho
-
-    def w0_fn(t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        nz = t != 0
-        out[nz] = w.w_fn(-1.0 / t[nz]) / np.abs(t[nz])
-        out[~nz] = w0_at_0
-        return out
-
-    def qp0_fn(t):
-        # Q0(x) = log|x| + Q(-1/x)  =>  Q0'(x) = 1/x + Q'(-1/x)/x^2
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t)
-        nz = t != 0
-        out[nz] = 1.0 / t[nz] + w.qp_fn(-1.0 / t[nz]) / t[nz] ** 2
-        out[~nz] = 0.0  # even-limit placeholder; Q0' has a removable pattern at 0
-        return out
-
-    rho0 = float(w.W(np.array(0.0)))
-    return Weight(w_fn=w0_fn, qp_fn=qp0_fn, rho=rho0,
-                  provenance=f"inverted({w.provenance})",
-                  lower_accuracy=w.lower_accuracy)
 
 
 # ------------------------------------------------------------------ MRS support
@@ -348,23 +315,3 @@ def equilibrium_check(em, grid=401):
     xs = em.mid + em.half * np.cos(np.linspace(0.05, np.pi - 0.05, grid))
     dev = em.log_integral(xs) - em.lam * em.weight.Q(xs)
     return float(np.max(np.abs(dev - np.mean(dev))))
-
-
-# ------------------------------------------------------------------ smooth integrals
-
-def smooth_integral_diag(f, interval, eps):
-    """Worst ratio deviation of integrals over adjacent eps-length intervals."""
-    a, b = interval
-    if not (0 < eps < (b - a) / 2):
-        raise ValueError("eps must be positive and smaller than half the interval")
-    n = int(np.floor((b - a) / eps))
-    edges = a + eps * np.arange(n + 1)
-    vals = np.empty(n)
-    for i in range(n):
-        vals[i], _ = quad(f, edges[i], edges[i + 1], limit=200)
-    worst = 0.0
-    for i in range(n - 1):
-        if vals[i + 1] == 0.0:
-            return np.inf
-        worst = max(worst, abs(vals[i] / vals[i + 1] - 1.0))
-    return worst

@@ -1,32 +1,34 @@
 """Best uniform approximation by weighted polynomials W^n p_n on the line.
 
-The family {W^n p_n : deg p_n <= n} restricted to the compactified line is
-re-parametrized through the direction angle th = arctan(t): with
-g(t) = W(t) sqrt(1+t^2) it equals g^n times the trigonometric polynomials of
-degree <= n and parity n.  The discrete minimax problem is solved as a linear
-program over a theta-uniform grid in that basis, which stays well conditioned
-where raw monomials t^k fail, and converts to monomial coefficients by one
-Horner pass in (1 + t^2) over the parts Re/Im (1 + i t)^m.
+Through the direction angle th = arctan(t), with g(t) = W(t) sqrt(1+t^2),
+c = cos th and s = sin th, the family {W^n p_n : deg p_n <= n} on the
+compactified line is g^n times the degree-n forms in (c, s): two families
+pref(c, s) p(u), u = c^2, with pref = 1 and c s for even n, c and s for odd
+n.  One three-term recurrence per family, measured once per weight and
+degree by discrete Stieltjes on the fixed verification grid, gives columns
+phi_j = (g/gref)^n pref p_j(u) of unit RMS, orthonormal there, and runs on
+phi_j so that nothing overflows.  It serves the LP columns and every
+evaluation (with the modulus (r/gref)^n at a planar point) and, homogenized
+in x^2 and x^2 + y^2, the monomial coefficients through one Horner pass.
 
 One solver handles one parity or an even/odd pair solved jointly, by a
 multi-point exchange.  The LP starts on 4 (n + 1) + 1 nodes for the largest
 degree n; each fit is checked on a fixed grid of 40010 nodes, and the kinks of
 W (a polygon's vertex slopes) join both.  While the verified error exceeds the
-LP error by more than 1%, every local maximum above the LP error of a branch's
-residual on that periodic grid joins the LP, at most twice the basis size of
-them (the largest) per round, which bounds the growth at the noise floor; at
-most four rounds.  The stop test has an absolute floor of 1e-10 max|f|: the LP
-objective of a near-exact fit falls below the solver's tolerance (~1e-7), so a
-purely relative test would never pass.  Added nodes can only raise the LP
-optimum, so a round whose LP error does not rise has stalled at that tolerance
-and stops unconverged.  The iterate returned is the one with the least sup
-error, the larger of its LP and verified errors.  The LP stays on HiGHS's
-default: its interior point loses digits on exact fits and stalls at n = 80.
+LP error by more than 1%, every local maximum of a branch's residual on that
+periodic grid above the LP error (beyond rounding) joins the LP, at most twice
+the basis size of them (the largest) per round, which bounds the growth at the
+noise floor; at most four rounds.  The stop test has an absolute floor of
+1e-10 max|f|, as the LP objective of a near-exact fit falls below the solver's
+tolerance (~1e-7).  Added nodes can only raise the LP optimum, so a round whose
+LP error does not rise has stalled and stops unconverged.  The iterate returned
+has the least sup error, the larger of its LP and verified errors.  The LP
+stays on HiGHS's default: its interior point loses digits on exact fits and
+stalls at n = 80.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,12 +36,16 @@ from scipy.linalg import solve_triangular
 from scipy.optimize import linprog
 
 from .errors import DegreeCapError, UnequalLimitsError, NoConvergenceError
-from .polys import HomogeneousPoly, _lift_graded
+from .polys import HomogeneousPoly, _lift_graded, _times_form
 
 _DEGREE_CAP = 128
 _VERIFY_GRID = 40010
 _REFINE_ROUNDS = 4
 _LIMIT_PROBES = (1e6, 1e8)
+_CHUNK = 4096
+_R2 = np.array([1.0, 0.0, 1.0])     # x^2 + y^2
+# prefactor forms of the two families of parity nu % 2 (index = power of y)
+_PREFS = (([1.0], [0.0, 1.0, 0.0]), ([1.0, 0.0], [0.0, 1.0]))
 
 
 @dataclass
@@ -75,105 +81,106 @@ class CompactifiedFunction:
         return cls(fn=fn, at_pos_inf=limits[0], at_neg_inf=limits[1])
 
 
-def divide_out_weight(f, w, s):
-    """f / W^s as a CompactifiedFunction; rejects non-finite limits."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    if not isinstance(f, CompactifiedFunction):
-        f = CompactifiedFunction.from_callable(f)
+def _columns(mod, c, s, nu, rec=None):
+    """Columns phi_j = mod pref(c, s) p_j(u) of both families of parity nu at
+    nodes of direction (c, s) and modulus mod (nu-th power taken), u = c^2:
+    beta_j p_j = (u - alpha_j) p_(j-1) - beta_(j-1) p_(j-2), p_0 = 1/beta_0,
+    run on phi_j.  ``rec`` holds (alpha, beta) per family; without it they
+    are measured here by discrete Stieltjes, each column of unit RMS and
+    orthogonal to its family.  Returns the columns and the recurrence."""
+    u = c * c
+    cols = np.empty(np.shape(u) + (nu + 1,), order="F")
+    recs, k = [], 0
+    for f, pref in enumerate(_PREFS[nu % 2]):
+        size = (nu - len(pref) + 1) // 2 + 1
+        alpha, beta = (np.zeros(size), np.zeros(size)) if rec is None else rec[f]
+        phi, prev = mod * sum(v * c ** (len(pref) - 1 - i) * s ** i
+                              for i, v in enumerate(pref)), 0.0
+        for j in range(size):
+            if j:
+                if rec is None:
+                    alpha[j] = np.mean(u * cols[..., k - 1] ** 2)
+                phi = (u - alpha[j]) * cols[..., k - 1] - beta[j - 1] * prev
+                prev = cols[..., k - 1]
+            if rec is None:
+                beta[j] = np.sqrt(np.mean(phi ** 2))
+            cols[..., k] = phi / beta[j]
+            k += 1
+        recs.append((alpha, beta))
+    return cols, recs
 
-    def g(t):
-        return f(t) / w.W(t) ** s
 
-    return CompactifiedFunction.from_callable(g, rtol=1e-4)
-
-
-def _harmonics(nu):
-    """(cos-degrees, sin-degrees) of the trig basis with parity nu."""
-    if nu % 2 == 0:
-        cos_m = list(range(0, nu + 1, 2))
-        sin_m = list(range(2, nu + 1, 2))
-    else:
-        cos_m = list(range(1, nu + 1, 2))
-        sin_m = list(range(1, nu + 1, 2))
-    return cos_m, sin_m
+def _graded(coef, alpha, beta):
+    """Parts coef_j P_j of one family, P_j = r^(2j) p_j(x^2/r^2) (r^2 = x^2 +
+    y^2) by beta_j P_j = (x^2 - alpha_j r^2) P_(j-1) - beta_(j-1) r^4 P_(j-2)
+    on coefficient vectors; P_0 comes padded to the length of the last."""
+    cur, lag = np.array([1.0 / beta[0]]), np.zeros(1)     # P_0, r^2 P_-1
+    yield coef[0] * np.pad(cur, (0, 2 * len(beta) - 2))
+    for j in range(1, len(beta)):
+        cur, lag = ((_times_form(cur, np.array([1 - alpha[j], 0.0, -alpha[j]]))
+                     - beta[j - 1] * _times_form(lag, _R2)) / beta[j],
+                    _times_form(cur, _R2))
+        yield coef[j] * cur
 
 
 @dataclass
 class WeightedApproximant:
-    """Weighted polynomial W^nu p_nu in the stable trigonometric basis."""
+    """W^nu p_nu as coefficients ``coef`` of the weight-orthonormal basis
+    whose recurrence ``rec`` (see `_columns`) is measured on the fixed grid."""
 
     nu: int
     weight: object
     gref: float
-    cos_coef: np.ndarray
-    sin_coef: np.ndarray
+    coef: np.ndarray
+    rec: list
     sup_error: float
     lp_solves: int
     lp_rows: int
     converged: bool
     _mono: np.ndarray = field(default=None, repr=False)
 
-    def _gtilde(self, t):
-        return self.weight.W(t) * np.hypot(1.0, t) / self.gref
-
-    def _trig(self, th):
-        """The trig sum sum_m c_m cos(m th) + s_m sin(m th) at angles th."""
-        cos_m, sin_m = _harmonics(self.nu)
-        acc = np.zeros_like(th)
-        for c, m in zip(self.cos_coef, cos_m):
-            acc += c * np.cos(m * th)
-        for s, m in zip(self.sin_coef, sin_m):
-            acc += s * np.sin(m * th)
-        return acc
+    def _value(self, mod, c, s):
+        """The basis sum at directions (c, s) with modulus mod, by chunks."""
+        args = [np.ravel(v) for v in (mod ** self.nu, c, s)]
+        out = np.empty(len(args[1]))
+        for i in range(0, len(out), _CHUNK):
+            out[i:i + _CHUNK] = _columns(*(v[i:i + _CHUNK] for v in args),
+                                         self.nu, self.rec)[0] @ self.coef
+        return out.reshape(np.shape(c))[()]
 
     def __call__(self, t):
         """Value of W^nu p_nu at finite t (vectorized)."""
         t = np.asarray(t, dtype=float)
-        return self._gtilde(t) ** self.nu * self._trig(np.arctan(t))
+        h = np.hypot(1.0, t)
+        return self._value(self.weight.W(t) * h / self.gref, 1.0 / h, t / h)
 
     def eval_points(self, pts):
-        """Value of the matching homogeneous polynomial at planar points.
-
-        With r = |p| and theta = atan2(y, x), homogeneity plus the parity of
-        the trig sum give h(p) = (r/gref)^nu * (cos/sin sum at theta) for
-        every point, including x <= 0; this avoids the cancellation of the
-        monomial form when the coefficients are large.
-        """
+        """Value of the matching homogeneous polynomial at planar points:
+        (r/gref)^nu times the basis sum at each point's direction, which
+        avoids the cancellation of the monomial form."""
         pts = np.asarray(pts, dtype=float)
         r = np.hypot(pts[:, 0], pts[:, 1])
-        th = np.arctan2(pts[:, 1], pts[:, 0])
-        return (r / self.gref) ** self.nu * self._trig(th)
+        c = np.divide(pts[:, 0], r, out=np.ones_like(r), where=r > 0)
+        s = np.divide(pts[:, 1], r, out=np.zeros_like(r), where=r > 0)
+        return self._value(r / self.gref, c, s)
 
     def at_inf(self, sign=1):
         """Limit of W^nu p_nu at sign*infinity."""
-        th = np.pi / 2 if sign > 0 else -np.pi / 2
-        return float((self.weight.rho / self.gref) ** self.nu
-                     * self._trig(np.array(th)))
+        return float(self._value(self.weight.rho / self.gref, 0.0, np.sign(sign)))
 
     def monomial_coeffs(self):
-        """Coefficients a_k with p_nu(t) = sum_k a_k t^k (stable conversion).
-
-        W^nu p_nu = (g/gref)^nu * trig with g = W sqrt(1+t^2), and
-        cos(m th)(1+t^2)^{m/2} = Re (1+it)^m, sin -> Im, so p_nu(t) is
-        gref^-nu H(1, t) for the homogeneous
-        H = sum_m (x^2+y^2)^{(nu-m)/2} P_m with the harmonic parts
-        P_m = c_m Re(x+iy)^m + s_m Im(x+iy)^m, summed by one Horner pass
-        S <- (x^2+y^2) S + P_m over m = nu mod 2, ..., nu.
+        """Coefficients a_k with p_nu(t) = sum_k a_k t^k, i.e. h(1, t) for
+        h = gref^-nu sum over the families of pref(x, y) times the Horner sum
+        sum_j (x^2+y^2)^(J-j) coef_j P_j of `_graded` (j = 0, ..., J).
         """
         if self._mono is None:
-            cos_m, sin_m = _harmonics(self.nu)
-            k = np.arange(self.nu + 1)
-            # C(m, k) i^k: real for even k, imaginary for odd k
-            binom = np.frompyfunc(math.comb, 2, 1)(np.array(cos_m)[:, None], k)
-            sin_coef = np.concatenate([np.zeros(len(cos_m) - len(sin_m)),
-                                       self.sin_coef])
-            coef = np.where(k % 2 == 0, np.asarray(self.cos_coef)[:, None],
-                            sin_coef[:, None])
-            parts = binom.astype(float) * (-1.0) ** (k // 2) * coef
-            self._mono = (_lift_graded(parts, np.array([1.0, 0.0, 1.0]),
-                                       start=self.nu % 2)
-                          / self.gref ** self.nu)
+            mono, lo = np.zeros(self.nu + 1), 0
+            for pref, (alpha, beta) in zip(_PREFS[self.nu % 2], self.rec):
+                if len(beta):
+                    part = _lift_graded(_graded(self.coef[lo:], alpha, beta), _R2)
+                    mono += _times_form(part, np.array(pref))
+                lo += len(beta)
+            self._mono = mono / self.gref ** self.nu
         return self._mono
 
 
@@ -187,19 +194,13 @@ def _grid(m):
     return t, thc
 
 
-def _basis_matrix(w, nu, gref, t, thc):
-    cos_m, sin_m = _harmonics(nu)
+def _basis_matrix(w, nu, gref, t, thc, rec=None):
+    """`_columns` of degree nu at slopes t (nan: infinity), angles thc."""
     mfin = np.isfinite(t)
     gt = np.empty_like(t)
     gt[mfin] = w.W(t[mfin]) * np.hypot(1.0, t[mfin]) / gref
     gt[~mfin] = w.rho / gref
-    mod = gt ** nu
-    cols = []
-    for m in cos_m:
-        cols.append(mod * np.cos(m * thc))
-    for m in sin_m:
-        cols.append(mod * np.sin(m * thc))
-    return np.stack(cols, axis=1)
+    return _columns(gt ** nu, np.cos(thc), np.sin(thc), nu, rec)
 
 
 def _sample_f(f, t):
@@ -212,16 +213,12 @@ def _sample_f(f, t):
 
 def _solve_lp(Psi, fvals):
     m, k = Psi.shape
-    # Orthonormalize the columns first: for weights with rho far below
-    # max g the raw columns span many orders of magnitude and the LP
-    # solver silently stalls at a false optimum.  The LP is solved in the
-    # Q basis and the solution mapped back through R.
+    # Solved in the Q basis of the rows, mapped back through R (well
+    # conditioned: the columns are orthonormal on the verification grid); on
+    # the raw rows HiGHS took 1490 simplex steps, not 1093, at square n = 32.
     Q, R = np.linalg.qr(Psi)
     # variables: coefficients (k) + error bound e; minimize e
-    A = np.zeros((2 * m, k + 1))
-    A[:m, :k] = Q
-    A[m:, :k] = -Q
-    A[:, k] = -1.0
+    A = np.block([[Q, -np.ones((m, 1))], [-Q, -np.ones((m, 1))]])
     b = np.concatenate([fvals, -fvals])
     cvec = np.zeros(k + 1)
     cvec[k] = 1.0
@@ -234,7 +231,7 @@ def _solve_lp(Psi, fvals):
 
 
 def _weighted_lp(branches, w, degrees, grid=None):
-    """Discrete weighted minimax over stacked trig blocks (internal).
+    """Discrete weighted minimax over stacked basis blocks (internal).
 
     ``degrees`` gives one basis block per degree nu.  Branch k of
     ``branches`` is the target at the boundary points (-1)^k p(t), where the
@@ -264,14 +261,15 @@ def _weighted_lp(branches, w, degrees, grid=None):
                                       for nu in degrees])
                       for k in range(len(branches))])
 
-    def system(t, thc):
-        basis = np.hstack([_basis_matrix(w, nu, gref, t, thc)
-                           for nu in degrees])
-        return basis, np.stack([_sample_f(f, t) for f in branches])
+    def system(t, thc, recs):
+        cols, recs = zip(*[_basis_matrix(w, nu, gref, t, thc, rec)
+                           for nu, rec in zip(degrees, recs)])
+        return np.hstack(cols), recs, np.stack([_sample_f(f, t) for f in branches])
 
-    Bv, fv = system(tv, thv)
+    # each degree's recurrence is measured on the verification nodes
+    Bv, recs, fv = system(tv, thv, [None] * len(degrees))
     floor = 1e-10 * float(np.max(np.abs(fv)))
-    B, fs = system(*nodes(grid))
+    B, _, fs = system(*nodes(grid), recs)
     A = np.vstack([B * s for s in signs])
     b = fs.ravel()
     cap = 2 * A.shape[1]
@@ -290,25 +288,23 @@ def _weighted_lp(branches, w, degrees, grid=None):
             break
         last = err
         # multi-point exchange: every local maximum above the LP error of
-        # each branch's residual on the periodic grid (the kinks are solved)
+        # each branch's residual on the periodic grid (the kinks are solved);
+        # one within rounding of it is an earlier peak, active in the LP
         r = resid[:, :_VERIFY_GRID]
         branch, node = np.nonzero((r > np.roll(r, 1, axis=1))
-                                  & (r >= np.roll(r, -1, axis=1)) & (r > err))
+                                  & (r >= np.roll(r, -1, axis=1))
+                                  & (r > err * (1 + 1e-9)))
         keep = np.argsort(r[branch, node])[-cap:]
         branch, node = branch[keep], node[keep]
         A = np.vstack([A, Bv[node] * signs[branch]])
         b = np.concatenate([b, fv[branch, node]])
 
     sup, coef = best
-    out, lo = [], 0
-    for nu in degrees:
-        nc = len(_harmonics(nu)[0])
-        out.append(WeightedApproximant(
-            nu=nu, weight=w, gref=gref, cos_coef=coef[lo:lo + nc],
-            sin_coef=coef[lo + nc:lo + nu + 1], sup_error=sup,
-            lp_solves=lp_solves, lp_rows=2 * len(A), converged=converged))
-        lo += nu + 1
-    return out
+    blocks = np.split(coef, np.cumsum([nu + 1 for nu in degrees])[:-1])
+    return [WeightedApproximant(nu=nu, weight=w, gref=gref, coef=c, rec=rec,
+                                sup_error=sup, lp_solves=lp_solves,
+                                lp_rows=2 * len(A), converged=converged)
+            for nu, rec, c in zip(degrees, recs, blocks)]
 
 
 def weighted_minimax(f, w, n, grid=None):
@@ -324,17 +320,6 @@ def weighted_minimax(f, w, n, grid=None):
         raise UnequalLimitsError(
             "function has different limits at +infinity and -infinity")
     return _weighted_lp((f,), w, (n,), grid=grid)[0]
-
-
-def homog_from_weighted(wa, body):
-    """Homogeneous h_n(x,y) = sum_k a_k x^{n-k} y^k matching W^n p_n.
-
-    On the slope-parametrized boundary, h_n(x(t), y(t)) = W^n(t) p_n(t),
-    including the limit a_n rho^n at t = infinity.
-    """
-    if wa.nu % 2 != 0:
-        raise ValueError("homog_from_weighted needs an even-degree approximant")
-    return _homog_from_monomial(wa.monomial_coeffs(), wa.nu)
 
 
 def _homog_from_monomial(a, n):

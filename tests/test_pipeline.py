@@ -111,6 +111,38 @@ def test_pair_call_matches_stable_eval():
     assert np.max(np.abs(pair(pts) - direct)) < 1e-8 * (1 + np.max(np.abs(direct)))
 
 
+def _long_double_horner(hp, pts):
+    """The exported polynomial at pts, in long double: Horner in y/x or x/y,
+    whichever is at most 1 in magnitude."""
+    n = hp.degree
+    c = np.zeros(n + 1, dtype=np.longdouble)
+    for term in hp.to_json_obj():
+        c[term["exponents"][1]] = term["coeff"]
+    x, y = (pts[:, i].astype(np.longdouble) for i in (0, 1))
+    swap = np.abs(x) < np.abs(y)
+    a, r = np.where(swap, y, x), np.where(swap, x / y, y / x)
+    coef = np.where(swap[:, None], c[::-1], c)     # coef[:, k] multiplies r^k
+    acc = np.zeros(len(pts), dtype=np.longdouble)
+    for k in range(n, -1, -1):
+        acc = acc * r + coef[:, k]
+    return acc * a ** n
+
+
+@pytest.mark.parametrize("body, n", [(ConvexBody.square(), 32),
+                                     (ConvexBody.ellipse(2.0, 1.0), 17)],
+                         ids=["square-32", "ellipse-17"])
+def test_pair_call_matches_exported_monomials_in_long_double(body, n):
+    """pair(x), the stable evaluator, and the exported h_even + h_odd summed
+    in long double agree to 1e-9 relative, so an export that loses digits
+    is caught."""
+    pair = approximate_theorem2(body, f_expcos, n)
+    pts = body.boundary_points(2048)
+    ref = _long_double_horner(pair.h_even, pts) + _long_double_horner(
+        pair.h_odd, pts)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert float(np.max(np.abs(pair(pts) - ref))) <= 1e-9 * scale
+
+
 def test_square_report_covers_vertices():
     """The vertex (1, 1), where the pair's error peaks, is in the report."""
     pair = approximate_theorem2(ConvexBody.square(), f_absx, 16)

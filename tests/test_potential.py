@@ -1,4 +1,4 @@
-"""Equilibrium measures, weight diagnostics, smooth-integral checks."""
+"""Equilibrium measures and weight diagnostics."""
 
 from types import SimpleNamespace
 
@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from homapprox import (ConvexBody, NoConvergenceError, Weight, check_weight,
-                       invert_weight, mrs_support, density, equilibrium_check,
-                       smooth_integral_diag)
+                       mrs_support, density, equilibrium_check)
 from homapprox import potential
 
 
@@ -130,43 +129,3 @@ def test_power_family_weight():
     diag = check_weight(w)
     assert diag.ok
     assert w.rho == pytest.approx(1.0)
-
-
-def test_invert_weight_duality():
-    """W0(x) = W(-1/x)/|x| swaps the two convexity conditions."""
-    w = disk_weight()
-    w0 = invert_weight(w)
-    xs = np.concatenate([np.linspace(-9, -0.2, 40), np.linspace(0.2, 9, 40)])
-    lhs = w.W(-1.0 / xs)
-    rhs = w0.W(xs) * np.abs(xs)
-    assert np.max(np.abs(lhs - rhs)) < 1e-12
-    assert check_weight(w0).ok
-
-
-def test_weight_inversion_polynomial_duality():
-    """W^n(-1/x) p_n(-1/x) = W0^n(x) q_n(x) with q_n(x) = x^n p_n(-1/x)."""
-    w = disk_weight()
-    w0 = invert_weight(w)
-    rng = np.random.default_rng(6)
-    n = 6
-    a = rng.standard_normal(n + 1)
-    p = lambda t: np.polynomial.polynomial.polyval(t, a)
-    q = lambda x: x ** n * p(-1.0 / x)
-    xs = np.concatenate([np.linspace(-5, -0.3, 30), np.linspace(0.3, 5, 30)])
-    lhs = w.W(-1.0 / xs) ** n * p(-1.0 / xs)
-    rhs = w0.W(xs) ** n * q(xs)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10 * np.max(np.abs(lhs) + 1)
-
-
-def test_smooth_integral_diag():
-    # integrable log singularity smooths out as eps -> 0
-    f = lambda x: np.log(1.0 / np.abs(x))
-    d1 = smooth_integral_diag(f, (-1.0, 1.0), 0.1)
-    d2 = smooth_integral_diag(f, (-1.0, 1.0), 0.01)
-    assert d2 < d1
-    # genuine jump stays non-smooth at a fixed positive level
-    step = lambda x: 1.0 if x > 0 else 2.0
-    d3 = smooth_integral_diag(step, (-1.0, 1.0), 0.05)
-    assert d3 > 0.4
-    with pytest.raises(ValueError):
-        smooth_integral_diag(f, (-1.0, 1.0), 2.0)

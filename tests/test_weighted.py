@@ -1,15 +1,13 @@
 """Weighted minimax on the compactified line and the homogeneous conversion."""
 
-import math
-
 import mpmath
 import numpy as np
 import pytest
 
-from homapprox import (ConvexBody, CompactifiedFunction, divide_out_weight,
-                       weighted_minimax, homog_from_weighted, invert_weight,
-                       UnequalLimitsError, DegreeCapError)
+from homapprox import (ConvexBody, CompactifiedFunction, weighted_minimax,
+                       approximate_theorem2, UnequalLimitsError, DegreeCapError)
 from homapprox import weighted_approx
+from homapprox.weighted_approx import _homog_from_monomial
 
 
 def disk_weight():
@@ -118,24 +116,12 @@ def test_degree_cap():
                          disk_weight(), 130)
 
 
-def test_divide_out_weight():
-    w = disk_weight()
-    g = divide_out_weight(lambda t: w.W(t) ** 3, w, 2)
-    t = np.linspace(-10, 10, 101)
-    assert np.max(np.abs(g(t) - w.W(t))) < 1e-12
-    assert g.at_pos_inf == pytest.approx(0.0, abs=1e-8)
-    with pytest.raises(ValueError):
-        divide_out_weight(lambda t: np.ones_like(t), w, 2)
-    with pytest.raises(ValueError):
-        divide_out_weight(lambda t: np.zeros_like(t), w, -1)
-
-
 def test_conversion_matches_on_boundary_and_at_infinity():
     body = ConvexBody.ellipse(2.0, 1.0)
     w = body.weight()
     f = CompactifiedFunction(lambda t: np.exp(-t ** 2), 0.0, 0.0)
     wa = weighted_minimax(f, w, 8)
-    h = homog_from_weighted(wa, body)
+    h = _homog_from_monomial(wa.monomial_coeffs(), wa.nu)
     t = np.linspace(-50, 50, 801)
     pts = body.slope_points(t)
     lhs = h(pts)
@@ -165,52 +151,64 @@ def test_eval_points_matches_monomial_homogeneous():
     w = body.weight()
     f = CompactifiedFunction(lambda t: 1.0 / (1 + t ** 2), 0.0, 0.0)
     wa = weighted_minimax(f, w, 10)
-    h = homog_from_weighted(wa, body)
+    h = _homog_from_monomial(wa.monomial_coeffs(), wa.nu)
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.5, 1.5, size=(200, 2))
     scale = 1 + np.max(np.abs(h(pts)))
     assert np.max(np.abs(wa.eval_points(pts) - h(pts))) < 1e-9 * scale
 
 
-def test_weight_inversion_consistency():
-    """Solving against the inverted weight approximates the swapped target."""
-    w = disk_weight()
-    w0 = invert_weight(w)
-    f = CompactifiedFunction(lambda t: 1.0 / (1 + t ** 2), 0.0, 0.0)
-    wa = weighted_minimax(f, w, 6)
-    g = CompactifiedFunction(
-        lambda x: np.where(np.abs(x) > 1e-12,
-                           1.0 / (1 + 1.0 / np.maximum(np.abs(x), 1e-300) ** 2),
-                           0.0),
-        1.0, 1.0)
-    wb = weighted_minimax(g, w0, 6)
-    # the two problems are images of each other: equal best errors
-    assert wb.sup_error == pytest.approx(wa.sup_error, rel=1e-2, abs=1e-6)
-
-
 def _mp_monomial_coeffs(wa):
-    """gref^-nu sum_m [c_m Re + s_m Im]((1+it)^m) (1+t^2)^((nu-m)/2) in
-    60 digits, with the matching sums of absolute contributions."""
+    """The monomial coefficients of wa in 60 digits from its (coef, rec),
+    with the matching sums of absolute contributions.
+
+    Per family, P_j = r^(2j) p_j(x^2/r^2) follows
+    beta_j P_j = (x^2 - alpha_j r^2) P_(j-1) - beta_(j-1) r^4 P_(j-2), and
+    h = gref^-nu sum pref(x, y) (x^2+y^2)^(J-j) coef_j P_j.  The sums of
+    absolute values run the same recurrence on |x^2 - alpha_j r^2| and
+    |P_j|.
+    """
     nu = wa.nu
-    cos_m, sin_m = weighted_approx._harmonics(nu)
+    mp = lambda v: [mpmath.mpf(float(c)) for c in v]
+
+    def times(a, b):
+        out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+        return out
+
+    def plus(a, b):
+        n = max(len(a), len(b))
+        a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+        return [u + v for u, v in zip(a, b)]
+
+    r2 = mp([1, 0, 1])
     ref = [mpmath.mpf(0)] * (nu + 1)
     scale = [mpmath.mpf(0)] * (nu + 1)
-    for coefs, degrees, part in ((wa.cos_coef, cos_m, 0),
-                                 (wa.sin_coef, sin_m, 1)):
-        for coef, m in zip(coefs, degrees):
-            # Re/Im of (1+it)^m: C(m,k) i^k, kept where k has parity `part`
-            head = [0] * (m + 1)
-            for k in range(part, m + 1, 2):
-                head[k] = math.comb(m, k) * (-1) ** ((k - part) // 2)
-            j = (nu - m) // 2
-            poly = [0] * (nu + 1)
-            for k, hk in enumerate(head):
-                for l in range(j + 1):
-                    poly[k + 2 * l] += hk * math.comb(j, l)
-            coef = mpmath.mpf(float(coef))
-            for k, pk in enumerate(poly):
-                ref[k] += coef * pk
-                scale[k] += abs(coef * pk)
+    lo = 0
+    for pref, (alpha, beta) in zip(weighted_approx._PREFS[nu % 2], wa.rec):
+        coef, alpha, beta = mp(wa.coef[lo:lo + len(beta)]), mp(alpha), mp(beta)
+        lo += len(beta)
+        last = len(beta) - 1
+        rows = []
+        for signed in (False, True):
+            ab = abs if signed else (lambda v: v)
+            prev, cur = [mpmath.mpf(0)], [1 / beta[0]]      # r^2 P_-1, P_0
+            total = [mpmath.mpf(0)]
+            for j in range(last + 1):
+                if j:
+                    q = [ab(1 - alpha[j]), 0, ab(-alpha[j])]
+                    cur, prev = ([v / beta[j] for v in plus(
+                        times(cur, q),
+                        [ab(-beta[j - 1]) * v for v in times(prev, r2)])],
+                        times(cur, r2))
+                # Horner in x^2 + y^2: sum_j (x^2+y^2)^(J-j) coef_j P_j
+                total = plus(times(total, r2), [ab(coef[j]) * v for v in cur])
+            rows.append(times(total, mp(pref)))
+        if last >= 0:
+            ref = plus(ref, rows[0])
+            scale = plus(scale, rows[1])
     g = mpmath.mpf(float(wa.gref)) ** nu
     return [r / g for r in ref], [s / g for s in scale]
 
@@ -249,6 +247,24 @@ def test_exchange_at_noise_floor():
     assert wa.converged is bool(wa.sup_error <= 1e-10 * np.e ** 2)
 
 
+def test_exchange_adds_no_row_twice(monkeypatch):
+    """A residual peak within rounding of the LP error is an earlier round's
+    peak, active in the LP: the exchange does not add its row again (the
+    square pair at n = 32 re-added two in its third LP)."""
+    solve = weighted_approx._solve_lp
+    systems = []
+
+    def recording(A, b):
+        systems.append(A)
+        return solve(A, b)
+
+    monkeypatch.setattr(weighted_approx, "_solve_lp", recording)
+    _expcos_pair(ConvexBody.square(), (32, 31))
+    assert len(systems) > 1
+    for A in systems:
+        assert len(np.unique(A, axis=0)) == len(A)
+
+
 def test_exchange_returns_no_worse_than_first_round(monkeypatch):
     square = ConvexBody.square()
     (full, _), _ = _expcos_pair(square, (16, 15))
@@ -278,7 +294,7 @@ def test_exchange_returns_best_iterate(monkeypatch):
     monkeypatch.setattr(weighted_approx, "_REFINE_ROUNDS", 0)
     first = weighted_minimax(f, disk_weight(), 32)
     assert wa.sup_error == first.sup_error
-    assert np.array_equal(wa.cos_coef, first.cos_coef)
+    assert np.array_equal(wa.coef, first.coef)
 
 
 @pytest.mark.parametrize("body, degrees, coarse", [
@@ -300,3 +316,30 @@ def test_monomial_coeffs_match_mpmath_expansion(body, degrees, coarse, monkeypat
             for k in range(wa.nu + 1):
                 err = abs(mpmath.mpf(float(got[k])) - ref[k])
                 assert err <= 1e-13 * scale[k], (wa.nu, k)
+
+
+@pytest.mark.parametrize("axes, n", [((2.0, 1.0), 64), ((4.0, 1.0), 32)],
+                         ids=["ellipse-2-1-n64", "ellipse-4-1-n32"])
+def test_eccentric_ellipse_pair_is_accurate_and_honest(axes, n):
+    """exp(x) cos(y) stays accurate on eccentric ellipses at high degree (a
+    trigonometric LP basis returned 15.2 and 14.6 here), and the report
+    agrees with a fresh boundary grid."""
+    body = ConvexBody.ellipse(*axes)
+    f = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
+    pair = approximate_theorem2(body, f, n)
+    pts = body.boundary_points(200_000, seed=11)
+    fresh = float(np.max(np.abs(f(pts) - pair(pts))))
+    assert pair.report.sup_error <= 1e-6
+    assert pair.report.sup_error == pytest.approx(fresh, rel=1e-2)
+
+
+def test_constant_on_eccentric_weight_at_degree_cap():
+    """f = 1 on the ellipse (2, 1) weight at n = 128 is fitted (a
+    trigonometric LP basis returned the zero approximant, error 1, flagged
+    converged), and the report agrees with fresh angles."""
+    f = CompactifiedFunction(lambda t: np.ones_like(t), 1.0, 1.0)
+    wa = weighted_minimax(f, ConvexBody.ellipse(2.0, 1.0).weight(), 128)
+    assert wa.sup_error <= 1e-6
+    th = np.pi * ((np.arange(100_000) + 0.5) / 100_000 - 0.5)
+    fresh = float(np.max(np.abs(wa(np.tan(th)) - 1.0)))
+    assert wa.sup_error == pytest.approx(fresh, rel=1e-2)
