@@ -2,9 +2,8 @@
 
 from .errors import (
     HomApproxError, DimensionError, BoundaryPointError, UnsupportedBodyError,
-    InvalidWeightError, NoConvergenceError, QuadratureError, DegreeCapError,
-    UnequalLimitsError, OddMonomialError, EscalationError, ConfigError,
-    ExprError, ExprDomainError,
+    NoConvergenceError, QuadratureError, DegreeCapError, UnequalLimitsError,
+    OddMonomialError, EscalationError, ConfigError, ExprError, ExprDomainError,
 )
 from .geometry import ConvexBody, SupportLine
 from .polys import (
@@ -29,10 +28,9 @@ from .expr import parse_expr
 
 __all__ = [
     "HomApproxError", "DimensionError", "BoundaryPointError",
-    "UnsupportedBodyError", "InvalidWeightError", "NoConvergenceError",
-    "QuadratureError", "DegreeCapError", "UnequalLimitsError",
-    "OddMonomialError", "EscalationError", "ConfigError", "ExprError",
-    "ExprDomainError",
+    "UnsupportedBodyError", "NoConvergenceError", "QuadratureError",
+    "DegreeCapError", "UnequalLimitsError", "OddMonomialError",
+    "EscalationError", "ConfigError", "ExprError", "ExprDomainError",
     "ConvexBody", "SupportLine",
     "HomogeneousPoly", "DensePoly", "linear_form_power", "homogenize_even",
     "growth_bound", "growth_bound_check",

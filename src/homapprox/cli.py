@@ -32,6 +32,7 @@ from .unity import UnityParams, approximate_unity, unity_error_report
 from .weighted_approx import CompactifiedFunction, weighted_minimax
 
 _FLOAT = "{:.17g}".format
+_RESIDUAL_ROWS = 512   # equally spaced boundary angles of residuals.csv
 
 
 # ----------------------------------------------------------------- validation
@@ -90,7 +91,7 @@ def _build_weight(spec, pointer):
         except ExprError as exc:
             raise ConfigError(f"bad weight expression: {exc}",
                               pointer=f"{pointer}/w")
-        return Weight.from_callable(fn, provenance=f"expr:{spec['w']}")
+        return Weight.from_callable(fn)
     raise ConfigError(f"unknown weight type {kind!r}", pointer=f"{pointer}/type")
 
 
@@ -100,6 +101,23 @@ def _require(cfg, key, types, pointer=""):
                           pointer=f"{pointer}/{key}")
     _check_type(cfg[key], types, f"{pointer}/{key}")
     return cfg[key]
+
+
+def _mesh_size(cfg):
+    """The mesh size cfg["h"], a number in (0, 1]."""
+    h = _require(cfg, "h", (int, float))
+    if not 0 < h <= 1:
+        raise ConfigError("h must be in (0, 1]", pointer="/h")
+    return float(h)
+
+
+def _count(cfg, key, default):
+    """The optional positive integer cfg[key]."""
+    value = cfg.get(key, default)
+    _check_type(value, int, f"/{key}")
+    if value < 1:
+        raise ConfigError(f"{key} must be positive", pointer=f"/{key}")
+    return value
 
 
 def _parse_f(cfg, allowed):
@@ -150,8 +168,8 @@ def _pair_json(pair):
     }
 
 
-def _residual_rows(body, f, approx, count=512):
-    theta = 2 * np.pi * np.arange(count) / count
+def _residual_rows(body, f, approx):
+    theta = 2 * np.pi * np.arange(_RESIDUAL_ROWS) / _RESIDUAL_ROWS
     u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     pts = u / body.gauge(u)[:, None]
     fv = f(pts)
@@ -196,10 +214,7 @@ def _run_unity(cfg, out):
                           pointer="/n")
     if n < 8:
         raise ConfigError("n must be at least 8", pointer="/n")
-    h = None
-    if "h" in cfg:
-        _check_type(cfg["h"], (int, float), "/h")
-        h = float(cfg["h"])
+    h = _mesh_size(cfg) if "h" in cfg else None
     hp = approximate_unity(body, UnityParams(n=n // 2, h=h))
     report = unity_error_report(body, hp)
     _write_json(os.path.join(out, "unity.json"),
@@ -217,8 +232,7 @@ def _run_equilibrium(cfg, out):
     lam = _require(cfg, "lam", (int, float))
     if lam <= 1:
         raise ConfigError("lam must be greater than 1", pointer="/lam")
-    grid = cfg.get("grid", 512)
-    _check_type(grid, int, "/grid")
+    grid = _count(cfg, "grid", 512)
     a, b = mrs_support(w, lam)
     em = density(w, lam, (a, b))
     xs = np.linspace(a, b, grid)
@@ -270,11 +284,8 @@ def _run_partition_diag(cfg, out, seed):
     d = _require(cfg, "d", int)
     if d not in (1, 2, 3):
         raise ConfigError("d must be 1, 2, or 3", pointer="/d")
-    h = _require(cfg, "h", (int, float))
-    if not 0 < h <= 1:
-        raise ConfigError("h must be in (0, 1]", pointer="/h")
-    samples = cfg.get("samples", 10000)
-    _check_type(samples, int, "/samples")
+    h = _mesh_size(cfg)
+    samples = _count(cfg, "samples", 10000)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-4.0, 4.0, size=(samples, d))
     sums, overlap = partition_sum_and_overlap(pts, h)

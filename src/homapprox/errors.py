@@ -17,10 +17,6 @@ class UnsupportedBodyError(HomApproxError):
     """Body is outside the scope of the requested construction."""
 
 
-class InvalidWeightError(HomApproxError):
-    """Weight fails the positivity/convexity conditions."""
-
-
 class NoConvergenceError(HomApproxError):
     """Iterative solve exhausted its iteration cap."""
 

@@ -177,7 +177,7 @@ class ConvexBody:
         theta = np.arctan2(x[..., 1], x[..., 0]) % (2 * np.pi)
         return nrm / self.params["interp"](theta)
 
-    def gauge_bisect(self, x, tol=1e-13, max_iter=200):
+    def gauge_bisect(self, x):
         """Bisection-on-ray oracle for the gauge (cross-check, scalar point)."""
         x = np.asarray(x, dtype=float)
         nx = np.linalg.norm(x)
@@ -188,7 +188,7 @@ class ConvexBody:
             hi *= 2
             if hi > 1e18:
                 raise BoundaryPointError("ray never enters the body")
-        for _ in range(max_iter):
+        for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break
@@ -196,7 +196,7 @@ class ConvexBody:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < tol * hi:
+            if hi - lo < 1e-13 * hi:
                 break
         return 0.5 * (lo + hi)
 
@@ -308,8 +308,7 @@ class ConvexBody:
             side = verts[:, 0] != 0
             kinks = tuple(np.unique(verts[side, 1] / verts[side, 0]).tolist())
         return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=float(self.radial(np.array([0.0, 1.0]))),
-                      provenance=f"body:{self.kind}", lower_accuracy=self.kind == "radial",
-                      kinks=kinks)
+                      lower_accuracy=self.kind == "radial", kinks=kinks)
 
     # ---------------------------------------------------------------- misc
 

@@ -3,8 +3,8 @@
 Two routes produce an (even, odd) homogeneous pair whose sum approximates a
 continuous f on the boundary of a centrally symmetric planar body:
 
-* planar-potential route: even/odd split of f, slope-line transform, and a
-  weighted polynomial minimax for each parity;
+* planar-potential route: slope-line transform of f on both halves of the
+  boundary and one weighted minimax of the even and odd parts jointly;
 * geometric route (smooth bodies): a least-squares Weierstrass stage followed
   by multiplication of each graded part with an approximation of unity.
 """
@@ -16,13 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EscalationError
-from .polys import HomogeneousPoly
+from .polys import HomogeneousPoly, _planar_points
 from .report import ApproxReport
 from .unity import UnityParams, approximate_unities
 from .weighted_approx import (CompactifiedFunction, _weighted_lp,
                               _homog_from_monomial)
 
 _VALIDATION_SEED = 0xB17E
+_REPORT_SAMPLES = 2000     # midpoint boundary angles; half as many seeded
+_WEIERSTRASS_TOL = 1e-3    # sup residual the Weierstrass stage must reach
 
 
 @dataclass
@@ -31,7 +33,8 @@ class HomPair:
 
     ``h_even(x) + h_odd(x)`` is the monomial form, accurate only while the
     coefficients stay moderate (1e18 on the square at n = 80); the planar
-    route's ``pair(x)`` uses the stable evaluator of its weighted fits."""
+    route's ``pair(x)`` uses the stable evaluator of its weighted fits.
+    ``pair(x)`` takes and returns what `HomogeneousPoly` does."""
 
     h_even: HomogeneousPoly
     h_odd: HomogeneousPoly
@@ -40,25 +43,26 @@ class HomPair:
     _eval: object = None
 
     def __call__(self, x):
-        if self._eval is not None:
-            return self._eval(np.asarray(x, dtype=float))
-        return self.h_even(x) + self.h_odd(x)
+        if self._eval is None:
+            return self.h_even(x) + self.h_odd(x)
+        out = self._eval(_planar_points(x))
+        return out if len(out) > 1 else float(out[0])
 
     @property
     def degrees(self):
         return self.h_even.degree, self.h_odd.degree
 
 
-def _pair_report(body, f, h_even, h_odd, samples=2000, pair_eval=None):
+def _pair_report(body, f, h_even, h_odd, pair_eval=None):
     if pair_eval is None:
         pair_eval = lambda p: h_even(p) + h_odd(p)
-    pts = body.boundary_points(samples)
+    pts = body.boundary_points(_REPORT_SAMPLES)
     if body.kind == "polygon":
         # a pair's error on a polygon peaks at its vertices, which the
         # midpoint angles never hit
         pts = np.vstack([pts, body.params["vertices"]])
     resid = np.abs(f(pts) - pair_eval(pts))
-    fresh = body.boundary_points(samples // 2, seed=_VALIDATION_SEED)
+    fresh = body.boundary_points(_REPORT_SAMPLES // 2, seed=_VALIDATION_SEED)
     fresh_resid = np.abs(f(fresh) - pair_eval(fresh))
     return ApproxReport(
         degree=max(h_even.degree, h_odd.degree),
@@ -106,7 +110,7 @@ def approximate_theorem2(body, f, n):
                    report=report, _eval=pair_eval)
 
 
-def _weierstrass_fit(body, f, m, tik=1e-10):
+def _weierstrass_fit(body, f, m):
     """Penalized least-squares polynomial of total degree m on the boundary.
 
     Returns its graded parts, row d holding the degree-d part's coefficient
@@ -117,7 +121,7 @@ def _weierstrass_fit(body, f, m, tik=1e-10):
     exps = [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
     V = np.stack([pts[:, 0] ** a * pts[:, 1] ** b for a, b in exps], axis=1)
     fv = f(pts)
-    A = V.T @ V + tik * np.eye(V.shape[1])
+    A = V.T @ V + 1e-10 * np.eye(V.shape[1])
     coef = np.linalg.solve(A, V.T @ fv)
     resid = float(np.max(np.abs(V @ coef - fv)))
     parts = np.zeros((m + 1, m + 1))
@@ -126,18 +130,18 @@ def _weierstrass_fit(body, f, m, tik=1e-10):
     return parts, resid
 
 
-def approximate_theorem1(body, f, n, m=8, delta=1e-3):
+def approximate_theorem1(body, f, n, m=8):
     """Geometric route: Weierstrass stage + unity multipliers per graded part."""
     m_cap = min(24, 2 * (n - 4))
     if m > m_cap:
         raise ValueError(f"initial Weierstrass degree {m} exceeds cap {m_cap}")
     parts, resid = _weierstrass_fit(body, f, m)
     steps = 0
-    while resid > delta and m + 2 <= m_cap:
+    while resid > _WEIERSTRASS_TOL and m + 2 <= m_cap:
         m += 2
         steps += 1
         parts, resid = _weierstrass_fit(body, f, m)
-    if resid > delta:
+    if resid > _WEIERSTRASS_TOL:
         raise EscalationError(
             f"Weierstrass stage stalled at degree {m} with error {resid:.3e}",
             achieved=resid)

@@ -19,22 +19,32 @@ from scipy.fft import dct
 
 from .errors import DimensionError, OddMonomialError, DegreeCapError
 
+_CHUNK = 4096   # rows per block of the monomial-table evaluation
+
 
 def _clean(coeffs):
     return {k: float(v) for k, v in coeffs.items() if v != 0.0}
 
 
-def _eval_table(exps, coeffs, x, chunk=4096):
+def _eval_table(exps, coeffs, x):
     """Evaluate sum_j c_j * prod x^exps_j at rows of x."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if exps.size == 0:
         return np.zeros(x.shape[0])
     out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], chunk):
-        xs = x[lo:lo + chunk]
+    for lo in range(0, x.shape[0], _CHUNK):
+        xs = x[lo:lo + _CHUNK]
         monos = np.prod(xs[:, None, :] ** exps[None, :, :], axis=2)
-        out[lo:lo + chunk] = monos @ coeffs
+        out[lo:lo + _CHUNK] = monos @ coeffs
     return out
+
+
+def _planar_points(x):
+    """x as an array of planar points, one per row (one point may be 1-D)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[1] != 2:
+        raise DimensionError("points must be planar")
+    return x
 
 
 class HomogeneousPoly:
@@ -83,9 +93,7 @@ class HomogeneousPoly:
     def __call__(self, x):
         # s_k = x s_{k-1} + vec[k] y^k, so s_degree is the polynomial; no
         # division by x or y keeps it exact on both axes
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        if x.shape[1] != 2:
-            raise DimensionError("points must be planar")
+        x = _planar_points(x)
         # contiguous copies: every term reads both columns
         u, v = x[:, 0].copy(), x[:, 1].copy()
         out = np.full(len(u), self.vec[0])
@@ -176,20 +184,20 @@ def _times_form(vecs, form):
     return out
 
 
-def _lift_graded(parts, form, start=0):
+def _lift_graded(parts, form):
     """sum_j F^(J-j) P_j for parts P_0, ..., P_J whose degrees step by deg F.
 
     One Horner pass S <- F S + P_j with the homogeneous form F (one for all
-    rows, or one per row of a batch).  P_0 has degree `start` and the
-    output's length; each later step reads and writes only the nonzero
-    prefix of S and of P_j (a degree-d vector is zero past index d), so P_j
-    may be cut to that prefix.  Sums of different lengths J run in lockstep
+    rows, or one per row of a batch).  P_0 has degree 0 and the output's
+    length; each later step reads and writes only the nonzero prefix of S and
+    of P_j (a degree-d vector is zero past index d), so P_j may be cut to
+    that prefix.  Sums of different lengths J run in lockstep
     along axis 0 of a batch: a part with fewer rows than S advances only the
     leading rows, and the rows past it keep their finished sums.
     """
     parts = iter(parts)
     s = np.array(next(parts), dtype=float)
-    deg = start
+    deg = 0
     for part in parts:
         live = s[:len(part)] if s.ndim > 1 else s
         prod = _times_form(live[..., :deg + 1], form)

@@ -31,7 +31,6 @@ class Weight:
     w_fn: object
     qp_fn: object
     rho: float
-    provenance: str = "analytic"
     lower_accuracy: bool = False
     kinks: tuple = ()
 
@@ -61,26 +60,24 @@ class Weight:
             t = np.asarray(t, dtype=float)
             return np.sign(t) * np.abs(t) ** (m - 1) / (1 + np.abs(t) ** m)
 
-        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=1.0,
-                   provenance=f"family:power(m={m:g})")
+        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=1.0)
 
     @classmethod
     def constant(cls):
         """W == 1 (fails the second condition; useful as a counterexample)."""
         return cls(w_fn=lambda t: np.ones_like(np.asarray(t, dtype=float)),
                    qp_fn=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                   rho=np.inf, provenance="family:constant")
+                   rho=np.inf)
 
     @classmethod
-    def from_callable(cls, w_fn, provenance="analytic"):
+    def from_callable(cls, w_fn):
         """Weight from a plain W(t) evaluator; Q' by five-point differences."""
         def qp_fn(t):
             t, h = np.asarray(t, dtype=float), 1e-6
             q = lambda s: -np.log(w_fn(t + s))
             return (q(-2 * h) - 8 * q(-h) + 8 * q(h) - q(2 * h)) / (12 * h)
 
-        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=_limit_rho(w_fn),
-                   provenance=provenance)
+        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=_limit_rho(w_fn))
 
 
 def _limit_rho(w_fn):
@@ -96,40 +93,32 @@ def _limit_rho(w_fn):
 
 @dataclass
 class WeightDiagnostics:
-    """Result of check_weight: per-condition pass/fail and worst triples."""
+    """Result of check_weight: per-condition pass/fail and rho."""
 
     cond1_ok: bool
     cond2_ok: bool
     rho: float
-    worst1: tuple = None
-    worst2: tuple = None
 
     @property
     def ok(self):
         return self.cond1_ok and self.cond2_ok
 
 
-def _convexity_scan(ts, vals, tol):
-    """Worst second-difference triple; positivity folded in by the caller."""
-    if np.any(~np.isfinite(vals)):
-        i = int(np.flatnonzero(~np.isfinite(vals))[0])
-        return False, (ts[i], vals[i], np.inf)
+def _convexity_scan(vals, tol):
+    """Whether vals are finite, positive and convex up to tol on the grid."""
+    if np.any(~np.isfinite(vals)) or np.any(~(vals > 0)):
+        return False
     second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
-    i = int(np.argmin(second))
-    ok = second[i] >= -tol * max(1.0, np.max(np.abs(vals)))
-    return bool(ok), (ts[i + 1], vals[i + 1], second[i])
+    return bool(np.min(second) >= -tol * max(1.0, np.max(np.abs(vals))))
 
 
-def check_weight(w, grid=2001, span=20.0):
+def check_weight(w):
     """Diagnose the two positivity/convexity conditions on a uniform grid."""
     tol = _CONVEXITY_TOL * (10 if w.lower_accuracy else 1)
-    ts = np.linspace(-span, span, grid)
+    ts = np.linspace(-20.0, 20.0, 2001)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         phi1 = 1.0 / w.W(ts)
-    ok1, worst1 = _convexity_scan(ts, phi1, tol)
-    if np.any(~(phi1 > 0)):
-        ok1 = False
 
     # |t| / W(-1/t); the value at t = 0 is the limit 1/rho
     rho = w.rho
@@ -144,12 +133,8 @@ def check_weight(w, grid=2001, span=20.0):
     else:
         at0 = 1.0 / rho
     phi2[~nz] = at0
-    ok2, worst2 = _convexity_scan(ts, phi2, tol)
-    if np.any(~(phi2 > 0)):
-        ok2 = False
-
-    return WeightDiagnostics(cond1_ok=ok1, cond2_ok=ok2, rho=rho,
-                             worst1=worst1, worst2=worst2)
+    return WeightDiagnostics(cond1_ok=_convexity_scan(phi1, tol),
+                             cond2_ok=_convexity_scan(phi2, tol), rho=rho)
 
 
 # ------------------------------------------------------------------ MRS support
@@ -160,21 +145,22 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
 _SUPPORT_TOL = 1e-10   # max |F| accepted from the general support solve
 
 
-def _gc_moments(w, lam, a, b, m=_GC_NODES):
+def _gc_moments(w, lam, a, b):
     """Quadrature values of the two endpoint conditions.
 
     F0 = (1/pi) int lam Q'(t)/sqrt((t-a)(b-t)) dt
     F1 = (1/pi) int lam Q'(t) t/sqrt((t-a)(b-t)) dt - 1
 
     Under t = (a+b)/2 + (b-a)/2 cos(phi) both are means over phi in [0, pi],
-    taken by the m-node Gauss-Chebyshev (midpoint in phi) rule.  That rule is
-    only first-order across a jump of Q', so when kinks of W lie in (a, b),
-    [0, pi] is split at their phi and each piece gets Gauss-Legendre.
+    taken by the 2000-node (_GC_NODES) Gauss-Chebyshev (midpoint in phi)
+    rule.  That rule is only first-order across a jump of Q', so when kinks
+    of W lie in (a, b), [0, pi] is split at their phi and each piece gets
+    Gauss-Legendre.
     """
     c, r = 0.5 * (a + b), 0.5 * (b - a)
     kinks = [k for k in w.kinks if a < k < b]
     if not kinks:
-        t = c + r * cheb_nodes(m)
+        t = c + r * cheb_nodes(_GC_NODES)
         qp = w.Qp(t)
         f0 = lam * np.mean(qp)
         f1 = lam * np.mean(qp * t) - 1.0
@@ -224,6 +210,9 @@ def mrs_support(w, lam):
 
 # ------------------------------------------------------------------ density
 
+_TAIL_TOL = 1e-10      # relative size of the last Chebyshev coefficients of Q'
+_DENSITY_CAP = 4096    # most Chebyshev nodes the density's expansion may use
+
 def _t_to_u_coeffs(ct):
     """Second-kind coefficients of sum ct[j] T_j via T_j = (U_j - U_{j-2})/2."""
     n = len(ct)
@@ -268,8 +257,8 @@ class EquilibriumMeasure:
             np.pi * np.sqrt(1 - xi_in ** 2))
         return out
 
-    def mass(self, nodes=4000):
-        xi = cheb_nodes(nodes)
+    def mass(self):
+        xi = cheb_nodes(4000)
         return float(self.half * np.mean(1.0 / self.half - self.lam * self._S(xi)))
 
     def log_integral(self, x):
@@ -285,13 +274,13 @@ class EquilibriumMeasure:
         acc = acc - self.half * (tk @ (d[1:] / ks))
         return acc
 
-    def robin_constant(self, grid=201):
-        xs = self.mid + self.half * np.cos(np.linspace(0.15, np.pi - 0.15, grid))
+    def robin_constant(self):
+        xs = self.mid + self.half * np.cos(np.linspace(0.15, np.pi - 0.15, 201))
         dev = self.log_integral(xs) - self.lam * self.weight.Q(xs)
         return float(-np.mean(dev))
 
 
-def density(w, lam, support, tail_tol=1e-10, max_degree=4096):
+def density(w, lam, support):
     """Equilibrium density V_lambda from the PV-integral formula."""
     a, b = support
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -300,18 +289,18 @@ def density(w, lam, support, tail_tol=1e-10, max_degree=4096):
     while True:
         ct = cheb_coeffs(w.Qp(mid + half * cheb_nodes(n)))
         scale = max(1.0, np.max(np.abs(ct)))
-        if np.max(np.abs(ct[-5:])) < tail_tol * scale:
+        if np.max(np.abs(ct[-5:])) < _TAIL_TOL * scale:
             break
         n *= 2
-        if n > max_degree:
-            raise QuadratureError(
-                f"Chebyshev expansion of Q' tail above {tail_tol} at cap {max_degree}")
+        if n > _DENSITY_CAP:
+            raise QuadratureError(f"Chebyshev expansion of Q' tail above "
+                                  f"{_TAIL_TOL} at cap {_DENSITY_CAP}")
     cu = _t_to_u_coeffs(ct)
     return EquilibriumMeasure(lam=lam, a=a, b=b, weight=w, _cu=cu)
 
 
-def equilibrium_check(em, grid=401):
+def equilibrium_check(em):
     """Max deviation of int log|t-x| V dt - lam*Q(x) from its fitted constant."""
-    xs = em.mid + em.half * np.cos(np.linspace(0.05, np.pi - 0.05, grid))
+    xs = em.mid + em.half * np.cos(np.linspace(0.05, np.pi - 0.05, 401))
     dev = em.log_integral(xs) - em.lam * em.weight.Q(xs)
     return float(np.max(np.abs(dev - np.mean(dev))))

@@ -198,11 +198,11 @@ def approximate_unity(body, params):
     return approximate_unities(body, [params])[0]
 
 
-def unity_error_report(body, hp, samples=2000):
-    """Sup/mean of |1 - hp| over a deterministic quasi-uniform boundary set."""
+def unity_error_report(body, hp):
+    """Sup/mean of |1 - hp| over 2000 quasi-uniform boundary points."""
     if hp.degree % 2 != 0:
         raise ValueError("unity polynomial must have even degree")
-    pts = body.boundary_points(samples)
+    pts = body.boundary_points(2000)
     err = np.abs(1.0 - hp(pts))
     return ApproxReport(degree=hp.degree, sup_error=float(np.max(err)),
-                        mean_error=float(np.mean(err)), n_samples=samples)
+                        mean_error=float(np.mean(err)), n_samples=len(pts))

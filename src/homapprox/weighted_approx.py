@@ -15,12 +15,12 @@ One solver handles one parity or an even/odd pair solved jointly, by a
 multi-point exchange.  The LP starts on 4 (n + 1) + 1 nodes for the largest
 degree n; each fit is checked on a fixed grid of 40010 nodes, and the kinks of
 W (a polygon's vertex slopes) join both.  While the verified error exceeds the
-LP error by more than 1%, every local maximum of a branch's residual on that
-periodic grid above the LP error (beyond rounding) joins the LP, at most twice
-the basis size of them (the largest) per round, which bounds the growth at the
-noise floor; at most four rounds.  The stop test has an absolute floor of
-1e-10 max|f|, as the LP objective of a near-exact fit falls below the solver's
-tolerance (~1e-7).  Added nodes can only raise the LP optimum, so a round whose
+LP error by more than 1%, every local maximum above it (beyond rounding) of
+the residual on that grid, read once around the boundary across the branches,
+joins the LP, at most twice the basis size of them (the largest) per round,
+which bounds the growth at the noise floor; at most four rounds.  The stop
+test has an absolute floor of 1e-10 max|f|, as the LP objective of a
+near-exact fit falls below the solver's tolerance (~1e-7).  Added nodes can only raise the LP optimum, so a round whose
 LP error does not rise has stalled and stops unconverged.  The iterate returned
 has the least sup error, the larger of its LP and verified errors.  The LP
 stays on HiGHS's default: its interior point loses digits on exact fits and
@@ -65,7 +65,7 @@ class CompactifiedFunction:
         return abs(self.at_pos_inf - self.at_neg_inf) <= 1e-9 * scale
 
     @classmethod
-    def from_callable(cls, fn, rtol=1e-5):
+    def from_callable(cls, fn):
         # Richardson step assuming f ~ L + c/t at the probe points; exact
         # for first-order rational decay, so limits like t/(1+t^2) -> 0
         # come out clean instead of O(1/probe).
@@ -75,7 +75,7 @@ class CompactifiedFunction:
             v = [float(fn(np.array(sign * p))) for p in _LIMIT_PROBES]
             if not all(np.isfinite(v)):
                 raise ValueError("function has no finite limit at infinity")
-            if abs(v[1] - v[0]) > rtol * max(1.0, abs(v[1])):
+            if abs(v[1] - v[0]) > 1e-5 * max(1.0, abs(v[1])):
                 raise ValueError("function does not settle to a limit at infinity")
             limits.append(v[1] - (v[0] - v[1]) / (ratio - 1.0))
         return cls(fn=fn, at_pos_inf=limits[0], at_neg_inf=limits[1])
@@ -164,10 +164,6 @@ class WeightedApproximant:
         s = np.divide(pts[:, 1], r, out=np.zeros_like(r), where=r > 0)
         return self._value(r / self.gref, c, s)
 
-    def at_inf(self, sign=1):
-        """Limit of W^nu p_nu at sign*infinity."""
-        return float(self._value(self.weight.rho / self.gref, 0.0, np.sign(sign)))
-
     def monomial_coeffs(self):
         """Coefficients a_k with p_nu(t) = sum_k a_k t^k, i.e. h(1, t) for
         h = gref^-nu sum over the families of pref(x, y) times the Horner sum
@@ -230,7 +226,19 @@ def _solve_lp(Psi, fvals):
     return coef, res.x[k]
 
 
-def _weighted_lp(branches, w, degrees, grid=None):
+def _peaks(resid, err, cap):
+    """(branch, node) of the exchange's new LP nodes: the cap largest local
+    maxima above the LP error err (one within rounding of it is an earlier
+    round's node, active in the LP) of the residual on the verification grid
+    (the kinks past it are solved).  Branch 0 covers the directions
+    [-pi/2, pi/2) and branch 1 [pi/2, 3pi/2): the rows form one cycle."""
+    r = resid[:, :_VERIFY_GRID].ravel()
+    peak = np.flatnonzero((r > np.roll(r, 1)) & (r >= np.roll(r, -1))
+                          & (r > err * (1 + 1e-9)))
+    return divmod(peak[np.argsort(r[peak])[-cap:]], _VERIFY_GRID)
+
+
+def _weighted_lp(branches, w, degrees):
     """Discrete weighted minimax over stacked basis blocks (internal).
 
     ``degrees`` gives one basis block per degree nu.  Branch k of
@@ -243,8 +251,6 @@ def _weighted_lp(branches, w, degrees, grid=None):
     """
     if max(degrees) > _DEGREE_CAP:
         raise DegreeCapError(f"degree {max(degrees)} beyond cap {_DEGREE_CAP}")
-    if grid is None:
-        grid = 4 * (max(degrees) + 1) + 1
     kinks = np.asarray(w.kinks, dtype=float)
 
     def nodes(m):
@@ -269,7 +275,7 @@ def _weighted_lp(branches, w, degrees, grid=None):
     # each degree's recurrence is measured on the verification nodes
     Bv, recs, fv = system(tv, thv, [None] * len(degrees))
     floor = 1e-10 * float(np.max(np.abs(fv)))
-    B, _, fs = system(*nodes(grid), recs)
+    B, _, fs = system(*nodes(4 * (max(degrees) + 1) + 1), recs)
     A = np.vstack([B * s for s in signs])
     b = fs.ravel()
     cap = 2 * A.shape[1]
@@ -287,15 +293,7 @@ def _weighted_lp(branches, w, degrees, grid=None):
         if converged or lp_solves > _REFINE_ROUNDS or err <= last:
             break
         last = err
-        # multi-point exchange: every local maximum above the LP error of
-        # each branch's residual on the periodic grid (the kinks are solved);
-        # one within rounding of it is an earlier peak, active in the LP
-        r = resid[:, :_VERIFY_GRID]
-        branch, node = np.nonzero((r > np.roll(r, 1, axis=1))
-                                  & (r >= np.roll(r, -1, axis=1))
-                                  & (r > err * (1 + 1e-9)))
-        keep = np.argsort(r[branch, node])[-cap:]
-        branch, node = branch[keep], node[keep]
+        branch, node = _peaks(resid, err, cap)
         A = np.vstack([A, Bv[node] * signs[branch]])
         b = np.concatenate([b, fv[branch, node]])
 
@@ -307,11 +305,8 @@ def _weighted_lp(branches, w, degrees, grid=None):
             for nu, rec, c in zip(degrees, recs, blocks)]
 
 
-def weighted_minimax(f, w, n, grid=None):
-    """Best discrete-minimax W^n p_n (even n) for f on the compactified line.
-
-    ``grid`` is the number of solve-grid nodes; None scales it with n.
-    """
+def weighted_minimax(f, w, n):
+    """Best discrete-minimax W^n p_n (even n) for f on the compactified line."""
     if n % 2 != 0 or n < 0:
         raise ValueError("weighted_minimax needs even nonnegative n")
     if not isinstance(f, CompactifiedFunction):
@@ -319,7 +314,7 @@ def weighted_minimax(f, w, n, grid=None):
     if not f.equal_limits:
         raise UnequalLimitsError(
             "function has different limits at +infinity and -infinity")
-    return _weighted_lp((f,), w, (n,), grid=grid)[0]
+    return _weighted_lp((f,), w, (n,))[0]
 
 
 def _homog_from_monomial(a, n):

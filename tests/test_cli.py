@@ -164,6 +164,26 @@ def test_partition_diag_and_check_weight(tmp_path):
     assert data["rho"] is None
 
 
+@pytest.mark.parametrize("sub, obj, key", [
+    ("unity", {"body": {"type": "disk"}, "n": 16, "h": 0}, "h"),
+    ("unity", {"body": {"type": "disk"}, "n": 16, "h": 1.5}, "h"),
+    ("partition-diag", {"d": 2, "h": 1.5}, "h"),
+    ("partition-diag", {"d": 2, "h": 0.5, "samples": 0}, "samples"),
+    ("partition-diag", {"d": 2, "h": 0.5, "samples": -3}, "samples"),
+    ("equilibrium", {"weight": {"type": "body", "body": {"type": "disk"}},
+                     "lam": 2.0, "grid": 0}, "grid"),
+    ("equilibrium", {"weight": {"type": "body", "body": {"type": "disk"}},
+                     "lam": 2.0, "grid": -5}, "grid"),
+], ids=["unity-h-0", "unity-h-1.5", "partition-h-1.5", "samples-0",
+        "samples-negative", "grid-0", "grid-negative"])
+def test_out_of_range_value_is_config_error(tmp_path, capsys, sub, obj, key):
+    out = tmp_path / "o"
+    rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])
+    assert rc == 3
+    assert f" at /{key}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_rejects_unknown_subcommand(tmp_path):
     with pytest.raises(ConfigError):
         run("frobnicate", {}, out=str(tmp_path))

@@ -208,7 +208,6 @@ def test_weight_rho_kinks_and_provenance():
         w = body.weight()
         assert w.rho == pytest.approx(rho, rel=1e-14), body
         assert w.kinks == pytest.approx(kinks, rel=1e-14), body
-        assert w.provenance == f"body:{body.kind}"
         assert w.lower_accuracy == (body.kind == "radial")
 
 

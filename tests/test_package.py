@@ -1,6 +1,11 @@
 """Public surface of the package."""
 
+import inspect
+import pathlib
+import re
+
 import homapprox
+from homapprox import errors
 
 
 def test_every_exported_name_resolves():
@@ -10,3 +15,17 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from homapprox import *", namespace)
     assert set(homapprox.__all__) <= set(namespace)
+
+
+def test_every_error_class_is_raised():
+    """Each exception class of errors, other than the bases that others
+    derive from, is raised somewhere in the package: an error nothing raises
+    is a dead export."""
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(c, Exception) and c.__module__ == errors.__name__]
+    bases = {b for c in classes for b in c.__bases__}
+    source = "\n".join(p.read_text() for p in
+                       pathlib.Path(homapprox.__file__).parent.glob("*.py"))
+    unraised = [c.__name__ for c in classes if c not in bases
+                and not re.search(rf"\braise {c.__name__}\b", source)]
+    assert not unraised

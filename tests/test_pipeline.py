@@ -5,7 +5,7 @@ import pytest
 
 from homapprox import (ConvexBody, HomogeneousPoly, UnityParams,
                        approximate_theorem1, approximate_theorem2,
-                       approximate_unity, EscalationError)
+                       approximate_unity, DimensionError, EscalationError)
 
 
 def f_one(p):
@@ -147,7 +147,24 @@ def test_square_report_covers_vertices():
     """The vertex (1, 1), where the pair's error peaks, is in the report."""
     pair = approximate_theorem2(ConvexBody.square(), f_absx, 16)
     corner = np.array([[1.0, 1.0]])
-    assert pair.report.sup_error >= abs(f_absx(corner)[0] - pair(corner)[0])
+    assert pair.report.sup_error >= abs(f_absx(corner)[0] - pair(corner))
+
+
+def test_pair_call_takes_what_homogeneous_poly_takes():
+    """On both routes pair(x) reads one point as a 1-D array or a (1, 2)
+    array and returns a float for it, an array for more rows, and rejects
+    non-planar points, like h_even(x) + h_odd(x)."""
+    body = ConvexBody.disk()
+    pts = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    for pair in (approximate_theorem2(body, f_expcos, 9),
+                 approximate_theorem1(body, f_expcos, 8)):
+        many = pair(pts)
+        assert many.shape == (2,)
+        for one in (pts[0], pts[:1]):
+            assert isinstance(pair(one), float)
+            assert pair(one) == pytest.approx(many[0], rel=1e-12)
+        with pytest.raises(DimensionError):
+            pair(np.ones((2, 3)))
 
 
 def test_exact_pair_takes_one_lp_solve():

@@ -54,11 +54,10 @@ def _bump(t):
     return out
 
 
-@pytest.mark.parametrize("grid", [None, 501])
-def test_sup_error_matches_fresh_fine_grid(grid):
-    """The reported error is the true one, whatever the solve grid."""
+def test_sup_error_matches_fresh_fine_grid():
+    """The reported error is the true one, not the solve grid's."""
     f = CompactifiedFunction(_bump, 0.0, 0.0)
-    wa = weighted_minimax(f, disk_weight(), 32, grid=grid)
+    wa = weighted_minimax(f, disk_weight(), 32)
     th = np.pi * ((np.arange(200_000) + 0.5) / 200_000 - 0.5)
     t = np.tan(th)
     fresh = np.max(np.abs(wa(t) - f(t)))
@@ -78,7 +77,7 @@ def test_sup_error_covers_weight_kinks():
 def test_refinement_out_of_rounds_is_reported(monkeypatch):
     monkeypatch.setattr(weighted_approx, "_REFINE_ROUNDS", 0)
     f = CompactifiedFunction(_bump, 0.0, 0.0)
-    wa = weighted_minimax(f, disk_weight(), 32, grid=101)
+    wa = weighted_minimax(f, disk_weight(), 32)
     assert wa.lp_solves == 1
     assert wa.converged is False
 
@@ -130,7 +129,8 @@ def test_conversion_matches_on_boundary_and_at_infinity():
     assert np.max(np.abs(lhs - rhs)) < 1e-10 * scale
     # t = infinity corresponds to the vertical boundary point (0, rho)
     top = np.array([0.0, w.rho])
-    assert h(top) == pytest.approx(wa.at_inf(), abs=1e-10 * scale)
+    assert h(top) == pytest.approx(wa.eval_points(top[None])[0],
+                                   abs=1e-10 * scale)
 
 
 def test_round_trip_from_sampled_weighted_polynomial():
@@ -263,6 +263,23 @@ def test_exchange_adds_no_row_twice(monkeypatch):
     assert len(systems) > 1
     for A in systems:
         assert len(np.unique(A, axis=0)) == len(A)
+
+
+def test_exchange_peaks_run_across_the_seam():
+    """The pair's branches continue each other around the boundary: a
+    residual whose only local maximum is branch 1's node 0, at the seam
+    with branch 0's last node, gives that one node, not one per branch
+    end.  The kink columns past the grid are not candidates."""
+    m = weighted_approx._VERIFY_GRID
+    i = np.arange(2 * m)
+    resid = np.hstack([(1.0 - np.abs(i - m) / (2 * m)).reshape(2, m),
+                       np.full((2, 2), 5.0)])
+    branch, node = weighted_approx._peaks(resid, 0.0, 10)
+    assert branch.tolist() == [1] and node.tolist() == [0]
+    # the same tent on one branch peaks at its middle node alone
+    one = (1.0 - np.abs(np.arange(m) - m // 2) / m)[None]
+    branch, node = weighted_approx._peaks(one, 0.0, 10)
+    assert branch.tolist() == [0] and node.tolist() == [m // 2]
 
 
 def test_exchange_returns_no_worse_than_first_round(monkeypatch):
