@@ -7,8 +7,8 @@ from .errors import (
 )
 from .geometry import ConvexBody, SupportLine
 from .polys import (
-    HomogeneousPoly, DensePoly, linear_form_power, homogenize_even,
-    growth_bound, growth_bound_check,
+    HomogeneousPoly, linear_form_power, homogenize_even, growth_bound,
+    growth_bound_check,
 )
 from .partition import (
     gstar, g_odd, g_1d, g_k, active_indices, partition_sum_and_overlap,
@@ -32,7 +32,7 @@ __all__ = [
     "DegreeCapError", "UnequalLimitsError", "OddMonomialError",
     "EscalationError", "ConfigError", "ExprError", "ExprDomainError",
     "ConvexBody", "SupportLine",
-    "HomogeneousPoly", "DensePoly", "linear_form_power", "homogenize_even",
+    "HomogeneousPoly", "linear_form_power", "homogenize_even",
     "growth_bound", "growth_bound_check",
     "gstar", "g_odd", "g_1d", "g_k", "active_indices",
     "partition_sum_and_overlap", "sphere_patches", "SpherePatch",

@@ -261,6 +261,8 @@ def _run_wapprox(cfg, out):
         w = body.weight()
     f, ftext = _parse_f(cfg, ("t",))
     n_list = _require(cfg, "n_list", list)
+    if not n_list:
+        raise ConfigError("n_list must not be empty", pointer="/n_list")
     for i, n in enumerate(n_list):
         _check_type(n, int, f"/n_list/{i}")
         if n < 0 or n % 2 != 0:

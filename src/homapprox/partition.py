@@ -60,7 +60,7 @@ def g_k(k, h, x):
     vals = np.ones(xi.shape[0])
     for j, kj in enumerate(k):
         vals = vals * g_1d(kj, xi[:, j])
-    return vals if vals.shape[0] > 1 else float(vals[0])
+    return vals if len(vals) != 1 else float(vals[0])
 
 
 def _support_1d(k, h):
@@ -143,7 +143,7 @@ class SpherePatch:
         """Even bump supported on the cube pair, evaluated at directions u."""
         u = np.atleast_2d(np.asarray(u, dtype=float))
         out = cube_pair_bump(u, self.h, self.offsets)
-        return out if out.shape[0] > 1 else float(out[0])
+        return out if len(out) != 1 else float(out[0])
 
 
 def cube_pair_bump(u, h, offsets):

@@ -32,30 +32,28 @@ class HomPair:
     """Pair (h_even, h_odd) of homogeneous polynomials with an error report.
 
     ``h_even(x) + h_odd(x)`` is the monomial form, accurate only while the
-    coefficients stay moderate (1e18 on the square at n = 80); the planar
-    route's ``pair(x)`` uses the stable evaluator of its weighted fits.
-    ``pair(x)`` takes and returns what `HomogeneousPoly` does."""
+    coefficients stay moderate (1e18 on the square at n = 80).  ``pair(x)``
+    evaluates through ``_eval``, its route's evaluator of rows of points: the
+    monomial form on the geometric route, the stable evaluator of the
+    weighted fits on the planar route.  ``pair(x)`` takes and returns what
+    `HomogeneousPoly` does."""
 
     h_even: HomogeneousPoly
     h_odd: HomogeneousPoly
     route: str
     report: ApproxReport
-    _eval: object = None
+    _eval: object
 
     def __call__(self, x):
-        if self._eval is None:
-            return self.h_even(x) + self.h_odd(x)
-        out = self._eval(_planar_points(x))
-        return out if len(out) > 1 else float(out[0])
+        out = np.atleast_1d(self._eval(_planar_points(x)))
+        return out if len(out) != 1 else float(out[0])
 
     @property
     def degrees(self):
         return self.h_even.degree, self.h_odd.degree
 
 
-def _pair_report(body, f, h_even, h_odd, pair_eval=None):
-    if pair_eval is None:
-        pair_eval = lambda p: h_even(p) + h_odd(p)
+def _pair_report(body, f, h_even, h_odd, pair_eval):
     pts = body.boundary_points(_REPORT_SAMPLES)
     if body.kind == "polygon":
         # a pair's error on a polygon peaks at its vertices, which the
@@ -101,7 +99,7 @@ def approximate_theorem2(body, f, n):
     def pair_eval(pts):
         return wa_e.eval_points(pts) + wa_o.eval_points(pts)
 
-    report = _pair_report(body, f, h_even, h_odd, pair_eval=pair_eval)
+    report = _pair_report(body, f, h_even, h_odd, pair_eval)
     report.extras["joint_sup_error"] = wa_e.sup_error
     report.extras["lp_solves"] = wa_e.lp_solves
     report.extras["lp_rows"] = wa_e.lp_rows
@@ -172,7 +170,10 @@ def approximate_theorem1(body, f, n, m=8):
             h_odd = h_odd.add(lifted)
         bound += float(np.max(np.abs(hj(pts)))) * uerr
 
-    report = _pair_report(body, f, h_even, h_odd)
+    def pair_eval(pts):
+        return h_even(pts) + h_odd(pts)
+
+    report = _pair_report(body, f, h_even, h_odd, pair_eval)
     report.extras["weierstrass_degree"] = m
     report.extras["weierstrass_sup_error"] = resid
     report.extras["unity_triangle_bound"] = bound
@@ -180,4 +181,4 @@ def approximate_theorem1(body, f, n, m=8):
     report.extras["unity_cache_hits"] = len(parts) - len(unity)
     report.extras["unity_meshes"] = len(meshes)
     return HomPair(h_even=h_even, h_odd=h_odd, route="geometric",
-                   report=report)
+                   report=report, _eval=pair_eval)

@@ -1,42 +1,23 @@
 """Dense polynomial infrastructure.
 
-Planar homogeneous polynomials as dense coefficient vectors, low-degree
-monomial-form polynomials with exponent-tuple coefficient maps, the package's
+Planar homogeneous polynomials as dense coefficient vectors, the package's
 one Chebyshev-Gauss node set and samples-to-coefficients transform, its one
-Horner lift over graded parts (used for the even-monomial homogenization
+Horner lift over graded parts (used for the even-polynomial homogenization
 through a supporting line), and the classical off-interval growth bound
-(2|x|/a)^n.
+(2|x|/a)^n.  A planar polynomial of total degree m is its graded parts: an
+(m+1, m+1) array whose row d is the degree-d part's `HomogeneousPoly` vector
+(index k = power of y, zero past d).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 from scipy.fft import dct
 
 from .errors import DimensionError, OddMonomialError, DegreeCapError
-
-_CHUNK = 4096   # rows per block of the monomial-table evaluation
-
-
-def _clean(coeffs):
-    return {k: float(v) for k, v in coeffs.items() if v != 0.0}
-
-
-def _eval_table(exps, coeffs, x):
-    """Evaluate sum_j c_j * prod x^exps_j at rows of x."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if exps.size == 0:
-        return np.zeros(x.shape[0])
-    out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], _CHUNK):
-        xs = x[lo:lo + _CHUNK]
-        monos = np.prod(xs[:, None, :] ** exps[None, :, :], axis=2)
-        out[lo:lo + _CHUNK] = monos @ coeffs
-    return out
 
 
 def _planar_points(x):
@@ -102,7 +83,7 @@ class HomogeneousPoly:
             yk *= v
             out *= u
             out += a * yk
-        return out if out.shape[0] > 1 else float(out[0])
+        return out if len(out) != 1 else float(out[0])
 
     def add(self, other):
         if other.degree != self.degree:
@@ -127,41 +108,6 @@ class HomogeneousPoly:
     @classmethod
     def zero(cls, dim, degree):
         return cls(dim, degree)
-
-
-@dataclass(frozen=True)
-class DensePoly:
-    """Polynomial of bounded total degree in monomial form, exponent-tuple storage."""
-
-    dim: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for k in self.coeffs:
-            if len(k) != self.dim:
-                raise DimensionError(f"exponent {k} has wrong length")
-        object.__setattr__(self, "coeffs", _clean(self.coeffs))
-
-    @property
-    def degree(self):
-        return max((sum(k) for k in self.coeffs), default=0)
-
-    def _table(self):
-        keys = sorted(self.coeffs)
-        exps = np.array(keys, dtype=float).reshape(len(keys), self.dim)
-        vals = np.array([self.coeffs[k] for k in keys])
-        return exps, vals
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.dim == 1 and x.ndim <= 1:
-            x = np.atleast_1d(x)[:, None]
-        exps, vals = self._table()
-        out = _eval_table(exps, vals, np.atleast_2d(x))
-        return out if out.shape[0] > 1 else float(out[0])
-
-    def is_even(self):
-        return all(sum(k) % 2 == 0 for k in self.coeffs)
 
 
 def linear_form_power(w, n):
@@ -207,26 +153,34 @@ def _lift_graded(parts, form):
     return s
 
 
-def homogenize_even(p, line, target_degree):
-    """Lift an even planar DensePoly to H^2_{2n} by padding with <x,w> powers.
+def homogenize_even(parts, line, target_degree):
+    """Lift an even planar polynomial to H^2_{2n} by padding with <x,w> powers.
 
-    On the line pair {<x,w> = +/-1} the result agrees with p because every
-    inserted factor <x,w>^{2j} equals 1 there.
+    ``parts`` are its graded parts, row d the degree-d part's vector (entries
+    past d are not read).  On the line pair {<x,w> = +/-1} the result agrees
+    with the polynomial because every inserted factor <x,w>^{2j} equals 1
+    there.
     """
+    parts = np.asarray(parts, dtype=float)
+    if parts.ndim != 2 or parts.shape[0] != parts.shape[1]:
+        raise DimensionError("graded parts must be a square array")
     if target_degree % 2 != 0:
         raise ValueError("target degree must be even")
-    if not p.is_even():
+    parts = np.tril(parts)
+    rows = np.flatnonzero(parts.any(axis=1))
+    if np.any(rows % 2):
         raise OddMonomialError("polynomial has odd-degree monomials")
-    if p.degree > target_degree:
+    degree = int(rows[-1]) if rows.size else 0
+    if degree > target_degree:
         raise DegreeCapError(
-            f"target degree {target_degree} below polynomial degree {p.degree}")
+            f"target degree {target_degree} below polynomial degree {degree}")
     w = np.asarray(line.normal, dtype=float)
-    if p.dim != 2 or w.shape != (2,):
+    if w.shape != (2,):
         raise DimensionError("homogenization is planar")
-    parts = np.zeros((target_degree + 1, target_degree + 1))
-    for (a, b), v in p.coeffs.items():
-        parts[a + b, b] = v
-    return HomogeneousPoly.from_vector(_lift_graded(parts, w))
+    r = min(len(parts), target_degree + 1)
+    padded = np.zeros((target_degree + 1, target_degree + 1))
+    padded[:r, :r] = parts[:r, :r]
+    return HomogeneousPoly.from_vector(_lift_graded(padded, w))
 
 
 def cheb_nodes(n):
@@ -251,10 +205,12 @@ def growth_bound(n, a, x):
     return (2.0 * abs(x) / a) ** n
 
 
-def growth_bound_check(p, a, x):
-    """(|p(x)|, bound, ok) for a univariate DensePoly with ||p||_[-a,a] <= 1."""
-    if p.dim != 1:
+def growth_bound_check(coeffs, a, x):
+    """(|p(x)|, bound, ok) for p = sum_k coeffs[k] x^k with ||p||_[-a,a] <= 1."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 1:
         raise DimensionError("growth bound applies to univariate polynomials")
-    b = growth_bound(p.degree, a, x)
-    val = abs(float(p(x)))
+    nonzero = np.flatnonzero(coeffs)
+    b = growth_bound(int(nonzero[-1]) if nonzero.size else 0, a, x)
+    val = abs(float(np.polynomial.polynomial.polyval(x, coeffs)))
     return val, b, val <= b * (1 + 1e-12)

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from homapprox import (ConvexBody, CompactifiedFunction, DensePoly,
+from homapprox import (ConvexBody, CompactifiedFunction, HomogeneousPoly,
                        Weight, approximate_theorem1, approximate_theorem2,
                        density, homogenize_even, linear_form_power,
                        mrs_support, equilibrium_check, weighted_minimax)
@@ -67,17 +67,21 @@ def test_criterion_2_homogenization_lift_and_suppression():
         for _ in range(100):
             exps = [(a, b) for a in range(5) for b in range(5)
                     if (a + b) % 2 == 0 and a + b <= 4]
-            p = DensePoly(2, {e: float(c) for e, c in
-                              zip(exps, rng.standard_normal(len(exps)))})
+            # graded parts: row d holds the degree-d part, index = power of y
+            parts = np.zeros((5, 5))
+            for (ea, eb), c in zip(exps, rng.standard_normal(len(exps))):
+                parts[ea + eb, eb] = c
             th = rng.uniform(0, 2 * np.pi)
             a = np.array([np.cos(th), np.sin(th)])
             line = body.support_line(a)
-            h = homogenize_even(p, line, 6)
+            h = homogenize_even(parts, line, 6)
             e = line.tangent_frame()[0]
             s = rng.uniform(-3, 3, 50)
             pts = line.foot()[None, :] + s[:, None] * e[None, :]
-            scale = 1 + np.max(np.abs(p(pts)))
-            assert np.max(np.abs(h(pts) - p(pts))) < 1e-10 * scale
+            p = sum(HomogeneousPoly.from_vector(row[:d + 1])(pts)
+                    for d, row in enumerate(parts))
+            scale = 1 + np.max(np.abs(p))
+            assert np.max(np.abs(h(pts) - p)) < 1e-10 * scale
         # part B: off-patch suppression bound (2/3)^{2n}
         delta = body.delta()
         for n in (4, 8, 16):
@@ -85,13 +89,13 @@ def test_criterion_2_homogenization_lift_and_suppression():
             a = np.array([np.cos(th), np.sin(th)])
             line = body.support_line(a)
             e = line.tangent_frame()[0]
-            # ambient even polynomial sum_k a_k <x,e>^{2k}
-            coeffs = {(0, 0): float(rng.standard_normal())}
+            # ambient even polynomial sum_k a_k <x,e>^{2k}, as graded parts
+            parts = np.zeros((2 * n + 1, 2 * n + 1))
+            parts[0, 0] = float(rng.standard_normal())
             for k in range(1, n + 1):
                 c = float(rng.standard_normal())
-                for ex, v in linear_form_power(e, 2 * k).coeffs.items():
-                    coeffs[ex] = coeffs.get(ex, 0.0) + c * v
-            h = homogenize_even(DensePoly(2, coeffs), line, 2 * n)
+                parts[2 * k, :2 * k + 1] = c * linear_form_power(e, 2 * k).vec
+            h = homogenize_even(parts, line, 2 * n)
             # normalize |h| <= 1 on the on-patch segment of the line
             s = np.linspace(-4 * delta, 4 * delta, 2001)
             seg = a[None, :] + s[:, None] * e[None, :]
@@ -112,15 +116,13 @@ def test_criterion_3_growth_bound():
         for _ in range(100):
             n = int(rng.integers(1, 13))
             c = rng.standard_normal(n + 1)
-            p = DensePoly(1, {(k,): c[k] for k in range(n + 1)})
-            sup = np.max(np.abs(p(s)))
-            p = DensePoly(1, {(k,): c[k] / sup for k in range(n + 1)})
+            c /= np.max(np.abs(np.polynomial.polynomial.polyval(s, c)))
             xs = rng.uniform(1.0 + 1e-9, 4.0, 1000)
             xs *= rng.choice([-1.0, 1.0], 1000)
             for x in (float(np.min(xs)), float(np.max(xs))):
-                val, bound, ok = growth_bound_check(p, 1.0, x)
+                val, bound, ok = growth_bound_check(c, 1.0, x)
                 assert ok
-            vals = np.abs(p(xs))
+            vals = np.abs(np.polynomial.polynomial.polyval(xs, c))
             bounds = (2.0 * np.abs(xs)) ** n
             assert np.all(vals <= bounds)
 

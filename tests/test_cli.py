@@ -174,8 +174,10 @@ def test_partition_diag_and_check_weight(tmp_path):
                      "lam": 2.0, "grid": 0}, "grid"),
     ("equilibrium", {"weight": {"type": "body", "body": {"type": "disk"}},
                      "lam": 2.0, "grid": -5}, "grid"),
+    ("wapprox", {"body": {"type": "disk"}, "f": "1/(1+t^2)", "n_list": []},
+     "n_list"),
 ], ids=["unity-h-0", "unity-h-1.5", "partition-h-1.5", "samples-0",
-        "samples-negative", "grid-0", "grid-negative"])
+        "samples-negative", "grid-0", "grid-negative", "n_list-empty"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, sub, obj, key):
     out = tmp_path / "o"
     rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])

@@ -55,6 +55,7 @@ def test_g_k_support():
     assert np.all(g_k((0, 0), h, x) >= 0)
     far = tuple(12 for _ in range(2))
     assert np.all(g_k(far, h, x) == 0.0)
+    assert g_k((0, 0), h, np.zeros((0, 2))).shape == (0,)
 
 
 def test_sphere_patches_cover_and_antipodal():
@@ -77,3 +78,4 @@ def test_patch_anchor_is_unit_and_in_support():
         a = patch.anchor_direction
         assert np.hypot(*a) == pytest.approx(1.0)
         assert patch.bump(a[None, :]) > 0
+        assert patch.bump(np.zeros((0, 2))).shape == (0,)

@@ -152,14 +152,15 @@ def test_square_report_covers_vertices():
 
 def test_pair_call_takes_what_homogeneous_poly_takes():
     """On both routes pair(x) reads one point as a 1-D array or a (1, 2)
-    array and returns a float for it, an array for more rows, and rejects
-    non-planar points, like h_even(x) + h_odd(x)."""
+    array and returns a float for it, an array for zero or more rows, and
+    rejects non-planar points, like h_even(x) + h_odd(x)."""
     body = ConvexBody.disk()
     pts = np.array([[0.6, 0.8], [-0.8, 0.6]])
     for pair in (approximate_theorem2(body, f_expcos, 9),
                  approximate_theorem1(body, f_expcos, 8)):
         many = pair(pts)
         assert many.shape == (2,)
+        assert pair(np.zeros((0, 2))).shape == (0,)
         for one in (pts[0], pts[:1]):
             assert isinstance(pair(one), float)
             assert pair(one) == pytest.approx(many[0], rel=1e-12)

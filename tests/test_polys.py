@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homapprox import (HomogeneousPoly, DensePoly, linear_form_power,
+from homapprox import (ConvexBody, HomogeneousPoly, linear_form_power,
                        homogenize_even, growth_bound,
                        growth_bound_check, OddMonomialError, DegreeCapError,
                        DimensionError)
 from homapprox.geometry import SupportLine
+from homapprox.pipeline import _weierstrass_fit
 from homapprox.polys import _lift_graded, cheb_coeffs, cheb_nodes
 
 
 def test_eval_simple():
     hp = HomogeneousPoly(2, 2, {(2, 0): 1.0, (0, 2): 1.0})
     assert hp(np.array([1.0, 2.0])) == pytest.approx(5.0)
+    assert hp(np.zeros((0, 2))).shape == (0,)
     sq = linear_form_power(np.array([1.0, 1.0]), 2)
     assert sq(np.array([1.0, 1.0])) == pytest.approx(4.0)
 
@@ -55,21 +57,34 @@ def _line(theta):
     return SupportLine(base=w.copy(), normal=w)
 
 
+def _graded(m, coeffs):
+    """Graded parts of total degree m from {(a, b): coefficient of x^a y^b}."""
+    parts = np.zeros((m + 1, m + 1))
+    for (a, b), c in coeffs.items():
+        parts[a + b, b] = c
+    return parts
+
+
+def _graded_eval(parts, pts):
+    """The polynomial with these graded parts, as a sum of its parts."""
+    return sum(HomogeneousPoly.from_vector(row[:d + 1])(pts)
+               for d, row in enumerate(parts))
+
+
 def test_homogenize_even_trivial_cases():
     # p == 1 -> <x,w>^2
-    p = DensePoly(2, {(0, 0): 1.0})
-    h = homogenize_even(p, _line(0.0), 2)
+    h = homogenize_even(_graded(0, {(0, 0): 1.0}), _line(0.0), 2)
     assert h.coeffs == {(2, 0): 1.0}
     # y^2 + 1 with w=(1,0), target 4 -> x^2 y^2 + x^4
-    p = DensePoly(2, {(0, 2): 1.0, (0, 0): 1.0})
-    h = homogenize_even(p, _line(0.0), 4)
+    parts = _graded(2, {(0, 2): 1.0, (0, 0): 1.0})
+    h = homogenize_even(parts, _line(0.0), 4)
     assert h.coeffs == {(2, 2): 1.0, (4, 0): 1.0}
     s = np.linspace(-3, 3, 100)
     pts = np.stack([np.ones_like(s), s], axis=1)
-    assert np.max(np.abs(h(pts) - p(pts))) < 1e-12 * np.max(1 + s ** 4)
+    assert np.max(np.abs(h(pts) - _graded_eval(parts, pts))) < 1e-12 * np.max(
+        1 + s ** 4)
     # already homogeneous -> unchanged
-    p = DensePoly(2, {(2, 0): 2.0, (0, 2): -1.0})
-    h = homogenize_even(p, _line(0.3), 2)
+    h = homogenize_even(_graded(2, {(2, 0): 2.0, (0, 2): -1.0}), _line(0.3), 2)
     assert h.coeffs == {(2, 0): 2.0, (0, 2): -1.0}
 
 
@@ -78,16 +93,37 @@ def test_homogenize_even_agreement_random():
     for _ in range(20):
         exps = [(a, b) for a in range(5) for b in range(5)
                 if (a + b) % 2 == 0 and a + b <= 4]
-        p = DensePoly(2, {e: float(c) for e, c in
-                          zip(exps, rng.standard_normal(len(exps)))})
+        parts = _graded(4, dict(zip(exps, rng.standard_normal(len(exps)))))
         line = _line(rng.uniform(0, 2 * np.pi))
-        h = homogenize_even(p, line, 6)
+        h = homogenize_even(parts, line, 6)
         e = line.tangent_frame()[0]
         s = rng.uniform(-2, 2, 50)
         pts = line.foot()[None, :] + s[:, None] * e[None, :]
-        scale = 1 + np.max(np.abs(p(pts)))
-        assert np.max(np.abs(h(pts) - p(pts))) < 1e-10 * scale
-        assert np.max(np.abs(h(-pts) - p(-pts))) < 1e-10 * scale
+        p = _graded_eval(parts, pts)
+        scale = 1 + np.max(np.abs(p))
+        assert np.max(np.abs(h(pts) - p)) < 1e-10 * scale
+        assert np.max(np.abs(h(-pts) - p)) < 1e-10 * scale
+
+
+def test_weierstrass_parts_lift_as_they_are():
+    """The geometric route's graded rows are homogenize_even's input: an
+    even f's least-squares fit has nonzero odd rows (odd multiples of the
+    ellipse's equation vanish on the boundary), and with them zeroed the lift
+    equals the sum of the even rows on both lines <x,w> = +/-1."""
+    body = ConvexBody.ellipse(2.0, 1.0)
+    parts, _ = _weierstrass_fit(
+        body, lambda p: np.cosh(p[:, 0]) * np.cos(p[:, 1]), 8)
+    line = body.support_line(body.boundary_points(7)[3])
+    assert np.max(np.abs(parts[1::2])) > 1e-2
+    with pytest.raises(OddMonomialError):
+        homogenize_even(parts, line, 10)
+    parts[1::2] = 0.0
+    h = homogenize_even(parts, line, 10)
+    s = np.linspace(-3, 3, 101)
+    pts = line.foot()[None, :] + s[:, None] * line.tangent_frame()[0][None, :]
+    p = _graded_eval(parts, pts)
+    for side in (pts, -pts):
+        assert np.max(np.abs(h(side) - p)) <= 1e-14 * np.max(np.abs(p))
 
 
 def _full_width_horner(parts, form):
@@ -133,11 +169,13 @@ def test_lift_graded_matches_full_width_horner(form):
 
 def test_homogenize_even_rejections():
     with pytest.raises(OddMonomialError):
-        homogenize_even(DensePoly(2, {(1, 0): 1.0}), _line(0.0), 4)
+        homogenize_even(_graded(1, {(1, 0): 1.0}), _line(0.0), 4)
     with pytest.raises(DegreeCapError):
-        homogenize_even(DensePoly(2, {(2, 2): 1.0}), _line(0.0), 2)
+        homogenize_even(_graded(4, {(2, 2): 1.0}), _line(0.0), 2)
     with pytest.raises(ValueError):
-        homogenize_even(DensePoly(2, {(2, 0): 1.0}), _line(0.0), 3)
+        homogenize_even(_graded(2, {(2, 0): 1.0}), _line(0.0), 3)
+    with pytest.raises(DimensionError):
+        homogenize_even(np.ones((2, 3)), _line(0.0), 4)
 
 
 @given(st.integers(1, 64), st.integers(0, 2 ** 32 - 1))
@@ -165,7 +203,7 @@ def test_growth_bound_values():
     with pytest.raises(ValueError):
         growth_bound(4, -1.0, 2.0)
     # T4 at 1.5 stays below (2*1.5)^4 = 81
-    t4 = DensePoly(1, {(4,): 8.0, (2,): -8.0, (0,): 1.0})
+    t4 = np.array([1.0, 0.0, -8.0, 0.0, 8.0])
     val, bound, ok = growth_bound_check(t4, 1.0, 1.5)
     assert ok and val == pytest.approx(23.5) and bound == pytest.approx(81.0)
 
@@ -176,17 +214,16 @@ def test_growth_bound_random_polys():
     for _ in range(100):
         n = int(rng.integers(1, 13))
         c = rng.standard_normal(n + 1)
-        p = DensePoly(1, {(k,): c[k] for k in range(n + 1)})
-        sup = np.max(np.abs(p(s)))
-        p = DensePoly(1, {(k,): c[k] / sup for k in range(n + 1)})
+        c /= np.max(np.abs(np.polynomial.polynomial.polyval(s, c)))
         x = float(rng.uniform(1.05, 3.0))
-        val, bound, ok = growth_bound_check(p, 1.0, x)
+        val, bound, ok = growth_bound_check(c, 1.0, x)
         assert ok
 
 
 def test_growth_bound_check_dimension_guard():
     with pytest.raises(DimensionError):
-        growth_bound_check(DensePoly(2, {(1, 1): 1.0}), 1.0, 2.0)
+        # x*y as a table of coefficients of x^i y^j
+        growth_bound_check(np.array([[0.0, 0.0], [0.0, 1.0]]), 1.0, 2.0)
 
 
 def _mp_terms(vec, x, y):
