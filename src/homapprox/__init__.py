@@ -19,7 +19,7 @@ from .potential import (
     equilibrium_check,
 )
 from .report import ApproxReport
-from .unity import UnityParams, approximate_unity, unity_error_report
+from .unity import approximate_unity, mesh_size, unity_error_report
 from .weighted_approx import (
     CompactifiedFunction, WeightedApproximant, weighted_minimax,
 )
@@ -39,7 +39,7 @@ __all__ = [
     "Weight", "check_weight", "mrs_support", "density",
     "EquilibriumMeasure", "equilibrium_check",
     "ApproxReport",
-    "UnityParams", "approximate_unity", "unity_error_report",
+    "approximate_unity", "mesh_size", "unity_error_report",
     "CompactifiedFunction", "WeightedApproximant", "weighted_minimax",
     "HomPair", "approximate_theorem1", "approximate_theorem2",
     "parse_expr",

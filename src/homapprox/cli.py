@@ -28,7 +28,7 @@ from .partition import partition_sum_and_overlap, active_indices
 from .pipeline import approximate_theorem1, approximate_theorem2
 from .potential import (Weight, check_weight, mrs_support, density,
                         equilibrium_check)
-from .unity import UnityParams, approximate_unity, unity_error_report
+from .unity import approximate_unity, unity_error_report
 from .weighted_approx import CompactifiedFunction, weighted_minimax
 
 _FLOAT = "{:.17g}".format
@@ -120,13 +120,11 @@ def _count(cfg, key, default):
     return value
 
 
-def _parse_f(cfg, allowed):
+def _parse_f(cfg, function):
+    """cfg["f"] made callable by function, and its text."""
     text = _require(cfg, "f", str)
     try:
-        node = parse_expr(text)
-        if allowed == ("t",):
-            return line_function(node), text
-        return boundary_function(node, allowed), text
+        return function(parse_expr(text)), text
     except ExprError as exc:
         raise ConfigError(f"bad expression: {exc}", pointer="/f")
 
@@ -187,7 +185,7 @@ _RESIDUAL_HEADER = ["theta", "x", "y", "f", "approx", "abs_residual"]
 def _run_approx(cfg, out):
     _validate_keys(cfg, ("body", "f", "n", "route"))
     body = _build_body(_require(cfg, "body", dict), "/body")
-    f, ftext = _parse_f(cfg, ("x", "y"))
+    f, ftext = _parse_f(cfg, boundary_function)
     n = _require(cfg, "n", int)
     if n < 5:
         raise ConfigError("n must be at least 5", pointer="/n")
@@ -215,7 +213,7 @@ def _run_unity(cfg, out):
     if n < 8:
         raise ConfigError("n must be at least 8", pointer="/n")
     h = _mesh_size(cfg) if "h" in cfg else None
-    hp = approximate_unity(body, UnityParams(n=n // 2, h=h))
+    hp = approximate_unity(body, n // 2, h)
     report = unity_error_report(body, hp)
     _write_json(os.path.join(out, "unity.json"),
                 {"polynomial": hp.to_json_obj(),
@@ -259,7 +257,7 @@ def _run_wapprox(cfg, out):
     else:
         body = _build_body(cfg["body"], "/body")
         w = body.weight()
-    f, ftext = _parse_f(cfg, ("t",))
+    f, ftext = _parse_f(cfg, line_function)
     n_list = _require(cfg, "n_list", list)
     if not n_list:
         raise ConfigError("n_list must not be empty", pointer="/n_list")
@@ -268,6 +266,8 @@ def _run_wapprox(cfg, out):
         if n < 0 or n % 2 != 0:
             raise ConfigError("degrees must be even and nonnegative",
                               pointer=f"/n_list/{i}")
+        if n in n_list[:i]:
+            raise ConfigError(f"degree {n} is repeated", pointer=f"/n_list/{i}")
     cf = CompactifiedFunction.from_callable(f)
     rows = []
     coeffs = {}

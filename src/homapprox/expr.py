@@ -231,17 +231,15 @@ def parse_expr(text):
     return _Parser(text).parse()
 
 
-def boundary_function(node, allowed=("x", "y")):
-    """Vectorized f(points) from an expression over the allowed variables."""
-    extra = node.variables() - set(allowed)
+def boundary_function(node):
+    """Vectorized f(points) of planar points from an expression in x and y."""
+    extra = node.variables() - {"x", "y"}
     if extra:
         raise ExprError(f"variable(s) {sorted(extra)} not allowed here")
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
-        env = {"x": pts[:, 0]}
-        if pts.shape[1] > 1:
-            env["y"] = pts[:, 1]
+        env = {"x": pts[:, 0], "y": pts[:, 1]}
         out = node(**{k: v for k, v in env.items() if k in node.variables()})
         return np.broadcast_to(np.asarray(out, dtype=float),
                                (len(pts),)).copy()

@@ -98,13 +98,13 @@ class ConvexBody:
             d = np.min(np.linalg.norm(verts + v, axis=1))
             if d > 1e-9 * (1 + np.linalg.norm(v)):
                 raise ValueError("polygon is not centrally symmetric")
-        forms = []
-        m = verts.shape[0]
-        for i in range(m):
-            a, b = verts[i], verts[(i + 1) % m]
-            mat = np.array([a, b])
-            forms.append(np.linalg.solve(mat, np.ones(2)))
-        return cls("polygon", {"vertices": verts, "edge_forms": np.array(forms)})
+        # edge i, from vertex i to vertex i + 1, is {<x, forms[i]> = 1}
+        edges = np.stack([verts, np.roll(verts, -1, axis=0)], axis=1)
+        forms = np.linalg.solve(edges, np.ones((len(verts), 2, 1)))[..., 0]
+        # the half-planes bound a different body if they cut off a vertex
+        if np.max(verts @ forms.T) > 1 + 1e-9:
+            raise ValueError("polygon is not convex")
+        return cls("polygon", {"vertices": verts, "edge_forms": forms})
 
     @classmethod
     def square(cls, half_width=1.0):
@@ -302,15 +302,20 @@ class ConvexBody:
             u = _slope_directions(t)
             return self.gauge_gradient(u)[..., 1] / self.gauge(u)
 
-        kinks = ()
-        if self.kind == "polygon":
-            verts = self.params["vertices"]
-            side = verts[:, 0] != 0
-            kinks = tuple(np.unique(verts[side, 1] / verts[side, 0]).tolist())
+        verts = self.corners()
+        side = verts[:, 0] != 0
+        kinks = tuple(np.unique(verts[side, 1] / verts[side, 0]).tolist())
         return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=float(self.radial(np.array([0.0, 1.0]))),
                       lower_accuracy=self.kind == "radial", kinks=kinks)
 
     # ---------------------------------------------------------------- misc
+
+    def corners(self):
+        """The boundary's corners, one row each: a polygon's vertices, and a
+        (0, 2) array for every other body."""
+        if self.kind == "polygon":
+            return self.params["vertices"]
+        return np.zeros((0, 2))
 
     def is_smooth(self):
         """True for bodies accepted on the geometric (partition) route."""

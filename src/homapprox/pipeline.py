@@ -18,7 +18,7 @@ import numpy as np
 from .errors import EscalationError
 from .polys import HomogeneousPoly, _planar_points
 from .report import ApproxReport
-from .unity import UnityParams, approximate_unities
+from .unity import approximate_unities, mesh_size
 from .weighted_approx import (CompactifiedFunction, _weighted_lp,
                               _homog_from_monomial)
 
@@ -54,11 +54,8 @@ class HomPair:
 
 
 def _pair_report(body, f, h_even, h_odd, pair_eval):
-    pts = body.boundary_points(_REPORT_SAMPLES)
-    if body.kind == "polygon":
-        # a pair's error on a polygon peaks at its vertices, which the
-        # midpoint angles never hit
-        pts = np.vstack([pts, body.params["vertices"]])
+    # a pair's error peaks at the corners, which the midpoint angles miss
+    pts = np.vstack([body.boundary_points(_REPORT_SAMPLES), body.corners()])
     resid = np.abs(f(pts) - pair_eval(pts))
     fresh = body.boundary_points(_REPORT_SAMPLES // 2, seed=_VALIDATION_SEED)
     fresh_resid = np.abs(f(fresh) - pair_eval(fresh))
@@ -144,18 +141,11 @@ def approximate_theorem1(body, f, n, m=8):
             f"Weierstrass stage stalled at degree {m} with error {resid:.3e}",
             achieved=resid)
 
-    # part d takes the multiplier of degree 2(n - d//2); those sharing a
-    # mesh are built together
-    meshes = {}
-    for n_u in sorted({n - deg // 2 for deg in range(len(parts))},
-                      reverse=True):
-        params = UnityParams(n=n_u)
-        meshes.setdefault(params.resolve(), []).append(params)
+    # part d takes the multiplier of degree 2(n - d//2)
+    ns = sorted({n - deg // 2 for deg in range(len(parts))}, reverse=True)
     pts = body.boundary_points(1000)
-    unity = {}
-    for group in meshes.values():
-        for params, u in zip(group, approximate_unities(body, group)):
-            unity[params.n] = (u, float(np.max(np.abs(1.0 - u(pts)))))
+    unity = {n_u: (u, float(np.max(np.abs(1.0 - u(pts)))))
+             for n_u, u in zip(ns, approximate_unities(body, ns))}
 
     h_even = HomogeneousPoly.zero(2, 2 * n)
     h_odd = HomogeneousPoly.zero(2, 2 * n + 1)
@@ -179,6 +169,6 @@ def approximate_theorem1(body, f, n, m=8):
     report.extras["unity_triangle_bound"] = bound
     report.extras["weierstrass_steps"] = steps
     report.extras["unity_cache_hits"] = len(parts) - len(unity)
-    report.extras["unity_meshes"] = len(meshes)
+    report.extras["unity_meshes"] = len({mesh_size(n_u) for n_u in ns})
     return HomPair(h_even=h_even, h_odd=h_odd, route="geometric",
                    report=report, _eval=pair_eval)

@@ -7,16 +7,14 @@ of the supporting form <x, w>.  The ray correction gauge(x)^{2n} is folded
 into the fitted function, so the lift is exact along rays instead of relying
 on the boundary staying close to the supporting line.
 
-Approximants of several degrees on one mesh (`approximate_unities`, as the
-geometric route needs one per graded part) are built together: the patches,
-lines, support windows, bump and gauge samples are computed once, each
-degree costs one batched transform, and one homogenized Chebyshev recurrence
-feeds the Horner sums of all degrees in lockstep.
+Approximants of several degrees (`approximate_unities`, as the geometric
+route needs one per graded part) are built together per `mesh_size`: the
+patches, lines, support windows, bump and gauge samples are computed once,
+each degree costs one batched transform, and one homogenized Chebyshev
+recurrence feeds the Horner sums of all degrees in lockstep.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,27 +32,20 @@ _WINDOW_MARGIN = 1e-9   # support-window widening, relative to hi - lo
 _CUBE_CORNERS = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
 
 
-@dataclass
-class UnityParams:
-    """Degree n and mesh size h of the unity construction.
+def mesh_size(n, h=None):
+    """The mesh size of the degree-2n unity construction, h if given.
 
     The default mesh is the calibrated desk-scale schedule
     clip(2.8/n, 0.1, 0.35), not the paper's asymptotic n^(-gamma): that mesh
     is far below what a degree-2n Chebyshev fit can resolve at practical n.
     Pass h=n**-gamma to use it anyway.
     """
-
-    n: int
-    h: float = None
-
-    def resolve(self):
-        """The mesh size h, with the default schedule filled in."""
-        if self.n < 4:
-            raise ValueError("n must be at least 4")
-        h = float(np.clip(2.8 / self.n, 0.1, 0.35)) if self.h is None else self.h
-        if not (0 < h <= 1):
-            raise ValueError("mesh size h must be in (0, 1]")
-        return h
+    if n < 4:
+        raise ValueError("n must be at least 4")
+    h = float(np.clip(2.8 / n, 0.1, 0.35)) if h is None else h
+    if not (0 < h <= 1):
+        raise ValueError("mesh size h must be in (0, 1]")
+    return h
 
 
 def _lift_cheb(cs, w, e, lo, hi, targets):
@@ -169,33 +160,35 @@ def _patch_coeffs(body, patches, targets, radius):
     return cs, w, e, lo, hi
 
 
-def approximate_unities(body, params):
-    """approximate_unity for each UnityParams of one mesh, built together.
+def approximate_unities(body, ns, h=None):
+    """approximate_unity(body, n, h) for each n in ns, in order.
 
-    Every entry must resolve to the same mesh h, so all of them share the
+    The degrees are grouped by mesh, and the degrees of one mesh share the
     patches, their lines and support windows, and the bump and gauge samples
     of the fit; only the exponent 2n of the ray correction and the
-    truncation differ.  The lift runs one recurrence for all of them.
+    truncation differ.  The lift runs one recurrence per mesh.
     """
     if not body.is_smooth():
         raise UnsupportedBodyError(
             "body is not smooth enough for the supporting-line construction; "
             "use the planar weighted route instead")
-    meshes = {p.resolve() for p in params}
-    if len(meshes) != 1:
-        raise ValueError(f"unity parameters span {len(meshes)} meshes, not 1")
+    meshes = {}
+    for i, n in enumerate(ns):
+        meshes.setdefault(mesh_size(n, h), []).append(i)
     radius = _FIT_RADIUS * body.delta()
-    targets = [2 * p.n for p in params]
+    out = [None] * len(ns)
+    for mesh, idx in meshes.items():
+        targets = [2 * ns[i] for i in idx]
+        cs, w, e, lo, hi = _patch_coeffs(body, sphere_patches(mesh, 2),
+                                         targets, radius)
+        for i, rows in zip(idx, _lift_cheb(cs, w, e, lo, hi, targets)):
+            out[i] = HomogeneousPoly.from_vector(rows.sum(axis=0))
+    return out
 
-    cs, w, e, lo, hi = _patch_coeffs(body, sphere_patches(meshes.pop(), 2),
-                                     targets, radius)
-    return [HomogeneousPoly.from_vector(rows.sum(axis=0))
-            for rows in _lift_cheb(cs, w, e, lo, hi, targets)]
 
-
-def approximate_unity(body, params):
+def approximate_unity(body, n, h=None):
     """Even h_2n in H^2_2n with h_2n ~ 1 on the boundary of a smooth body."""
-    return approximate_unities(body, [params])[0]
+    return approximate_unities(body, [n], h)[0]
 
 
 def unity_error_report(body, hp):

@@ -69,6 +69,8 @@ def test_unknown_key_pointer(tmp_path, capsys):
     '{"type": "disk", "radius": -1}',
     '{"type": "disk", "dim": 3}',
     '{"type": "pnorm", "p": 1e400}',
+    '{"type": "polygon", "vertices": [[2, 0], [0.5, 0.5], [0, 2], [-0.5, 0.5],'
+    ' [-2, 0], [-0.5, -0.5], [0, -2], [0.5, -0.5]]}',
 ])
 def test_malformed_body_is_config_error(tmp_path, capsys, body):
     # JSON reads 1e400 as inf
@@ -176,8 +178,11 @@ def test_partition_diag_and_check_weight(tmp_path):
                      "lam": 2.0, "grid": -5}, "grid"),
     ("wapprox", {"body": {"type": "disk"}, "f": "1/(1+t^2)", "n_list": []},
      "n_list"),
+    ("wapprox", {"body": {"type": "disk"}, "f": "1/(1+t^2)",
+                 "n_list": [4, 2, 4]}, "n_list/2"),
 ], ids=["unity-h-0", "unity-h-1.5", "partition-h-1.5", "samples-0",
-        "samples-negative", "grid-0", "grid-negative", "n_list-empty"])
+        "samples-negative", "grid-0", "grid-negative", "n_list-empty",
+        "n_list-repeated"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, sub, obj, key):
     out = tmp_path / "o"
     rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])

@@ -150,6 +150,30 @@ def test_from_config_round_trip():
         ConvexBody.from_config({"type": "blob"})
 
 
+def test_polygon_rejects_asymmetric_and_nonconvex_outlines():
+    with pytest.raises(ValueError, match="not centrally symmetric"):
+        ConvexBody.polygon([[1, 0], [0, 1], [-1, 0], [0, -2]])
+    # the half-planes of the star's edges put its tips at gauge 3
+    star = [[2, 0], [0.5, 0.5], [0, 2], [-0.5, 0.5],
+            [-2, 0], [-0.5, -0.5], [0, -2], [0.5, -0.5]]
+    with pytest.raises(ValueError, match="not convex"):
+        ConvexBody.polygon(star)
+    # a vertex on the line of its neighbours' edge leaves the outline convex
+    square = ConvexBody.polygon([[1, 1], [-1, 1], [-1, 0], [-1, -1],
+                                 [1, -1], [1, 0]])
+    pts = ConvexBody.square().boundary_points(64)
+    assert np.allclose(square.gauge(pts), 1.0, rtol=0, atol=1e-15)
+
+
+def test_corners_are_polygon_vertices_only():
+    # counter-clockwise by angle from -pi
+    assert np.array_equal(ConvexBody.square(0.5).corners(),
+                          [[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+    for body in (ConvexBody.disk(), ConvexBody.ellipse(2.0, 1.0),
+                 ConvexBody.pnorm_ball(4.0), _radial_body()):
+        assert body.corners().shape == (0, 2)
+
+
 def _radial_body(amp=0.1, phase=0.0, samples=64):
     th = np.linspace(0, np.pi, samples, endpoint=False)
     return ConvexBody.radial_samples(th, 1.0 + amp * np.cos(2 * th + phase))

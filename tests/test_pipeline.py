@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from homapprox import (ConvexBody, HomogeneousPoly, UnityParams,
-                       approximate_theorem1, approximate_theorem2,
-                       approximate_unity, DimensionError, EscalationError)
+from homapprox import (ConvexBody, HomogeneousPoly, approximate_theorem1,
+                       approximate_theorem2, approximate_unity,
+                       DimensionError, EscalationError)
 
 
 def f_one(p):
@@ -181,12 +181,13 @@ def test_theorem1_run_counters(monkeypatch, m0):
     """weierstrass_steps counts the +2 escalations past the initial m,
     unity_cache_hits the graded parts whose multiplier another part already
     took, and unity_meshes the batched multiplier builds, one per mesh."""
-    from homapprox import pipeline
+    from homapprox import unity
     calls = []
-    unities = pipeline.approximate_unities
-    monkeypatch.setattr(pipeline, "approximate_unities",
-                        lambda body, params: calls.append([p.n for p in params])
-                        or unities(body, params))
+    fit = unity._patch_coeffs
+    monkeypatch.setattr(unity, "_patch_coeffs",
+                        lambda body, patches, targets, radius:
+                        calls.append([t // 2 for t in targets])
+                        or fit(body, patches, targets, radius))
     f = lambda p: np.exp(p[:, 0])
     pair = approximate_theorem1(ConvexBody.ellipse(2.0, 1.0), f, 16, m=m0)
     ex = pair.report.extras
@@ -231,7 +232,7 @@ def _theorem1_one_multiplier_at_a_time(body, f, n, m):
         hj = HomogeneousPoly.from_vector(part[:deg + 1])
         n_u = n - deg // 2
         if n_u not in cache:
-            u = approximate_unity(body, UnityParams(n=n_u))
+            u = approximate_unity(body, n_u)
             cache[n_u] = (u, float(np.max(np.abs(1.0 - u(pts)))))
         u, uerr = cache[n_u]
         if deg % 2 == 0:

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homapprox import (ConvexBody, HomogeneousPoly, UnityParams,
-                       approximate_theorem1, approximate_unity,
-                       unity_error_report, linear_form_power,
-                       UnsupportedBodyError)
+from homapprox import (ConvexBody, HomogeneousPoly, approximate_theorem1,
+                       approximate_unity, mesh_size, unity_error_report,
+                       linear_form_power, UnsupportedBodyError)
 from homapprox import unity
 from homapprox.partition import sphere_patches
 from homapprox.polys import cheb_coeffs, cheb_nodes
@@ -16,26 +15,26 @@ from homapprox.unity import (_lift_cheb, _patch_coeffs, _support_window,
                              approximate_unities)
 
 
-def test_resolve_defaults():
+def test_mesh_size_defaults():
     # the schedule clip(2.8/n, 0.1, 0.35) at both clips and in between
-    assert [UnityParams(n=n).resolve() for n in (4, 8, 16, 64)] == \
+    assert [mesh_size(n) for n in (4, 8, 16, 64)] == \
         pytest.approx([0.35, 0.35, 0.175, 0.1])
     # an explicit h wins, e.g. the paper's asymptotic mesh n^(-gamma)
-    assert UnityParams(n=16, h=16.0 ** -0.5).resolve() == 0.25
+    assert mesh_size(16, 16.0 ** -0.5) == 0.25
 
 
-def test_resolve_rejects_small_n():
+def test_mesh_size_rejects_small_n():
     with pytest.raises(ValueError):
-        UnityParams(n=3).resolve()
+        mesh_size(3)
     for h in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            UnityParams(n=8, h=h).resolve()
+            mesh_size(8, h)
 
 
 def test_disk_unity_error_and_improvement():
     body = ConvexBody.disk()
-    r8 = unity_error_report(body, approximate_unity(body, UnityParams(n=8)))
-    r16 = unity_error_report(body, approximate_unity(body, UnityParams(n=16)))
+    r8 = unity_error_report(body, approximate_unity(body, 8))
+    r16 = unity_error_report(body, approximate_unity(body, 16))
     assert r8.sup_error < 0.3
     assert r16.sup_error < r8.sup_error
 
@@ -44,7 +43,7 @@ def test_ellipse_unity_errors_decrease():
     body = ConvexBody.ellipse(2.0, 1.0)
     errs = []
     for n in (8, 16, 32):
-        hp = approximate_unity(body, UnityParams(n=n))
+        hp = approximate_unity(body, n)
         assert hp.degree == 2 * n
         errs.append(unity_error_report(body, hp).sup_error)
     assert errs[0] < 1.0
@@ -52,7 +51,7 @@ def test_ellipse_unity_errors_decrease():
 
 
 def test_unity_output_is_even():
-    hp = approximate_unity(ConvexBody.disk(), UnityParams(n=8))
+    hp = approximate_unity(ConvexBody.disk(), 8)
     rng = np.random.default_rng(9)
     x = rng.standard_normal((50, 2))
     assert np.max(np.abs(hp(x) - hp(-x))) < 1e-10 * (1 + np.max(np.abs(hp(x))))
@@ -77,7 +76,7 @@ def test_error_report_rejects_odd_degree():
 
 def test_non_smooth_body_rejected():
     with pytest.raises(UnsupportedBodyError):
-        approximate_unity(ConvexBody.square(), UnityParams(n=8))
+        approximate_unity(ConvexBody.square(), 8)
 
 
 def _patch_geometries(rng, count):
@@ -184,7 +183,7 @@ def test_windowed_batch_fit_matches_full_line_fit(name, h):
     a time, for every target of a multi-target call."""
     body = _FIT_BODIES[name]()
     n = 16
-    h = UnityParams(n=n, h=h).resolve()
+    h = mesh_size(n, h)
     targets = [2 * n, 2 * n - 6, 2 * n - 2]
     radius = unity._FIT_RADIUS * body.delta()
     patches = sphere_patches(h, 2)
@@ -252,7 +251,7 @@ def test_patch_fits_are_one_batch_per_unity_call(monkeypatch):
     monkeypatch.setattr(unity, "_patch_coeffs", counted)
     body = ConvexBody.ellipse(2.0, 1.0)
     f = lambda p: np.exp(p[:, 0])
-    patches = lambda n: len(sphere_patches(UnityParams(n=n).resolve(), 2))
+    patches = lambda n: len(sphere_patches(mesh_size(n), 2))
     # m = 8: parts of degree 0..8 take the multipliers n, ..., n - 4; from
     # n = 28 on they share the mesh h = 0.1
     pair = approximate_theorem1(body, f, 32)
@@ -261,9 +260,9 @@ def test_patch_fits_are_one_batch_per_unity_call(monkeypatch):
     calls.clear()
     approximate_theorem1(body, f, 16)
     assert calls == [(patches(k), [2 * k]) for k in (16, 15, 14, 13, 12)]
-    assert len({UnityParams(n=k).resolve() for k in range(12, 17)}) == 5
+    assert len({mesh_size(k) for k in range(12, 17)}) == 5
     calls.clear()
-    approximate_unity(body, UnityParams(n=8))
+    approximate_unity(body, 8)
     assert calls == [(patches(8), [16])]
 
 
@@ -326,13 +325,19 @@ def test_multi_target_lift_of_short_series():
 
 
 def test_unities_of_one_mesh_match_single_calls():
-    """approximate_unities returns, bit for bit, what approximate_unity
-    returns for each entry, and rejects entries of different meshes."""
+    """approximate_unities returns, bit for bit and in order, what
+    approximate_unity returns for each degree, whether the degrees share a
+    mesh (30, 28, 33 at h = 0.1; 16, 12 at an explicit h) or not (16, 12,
+    15)."""
     body = ConvexBody.pnorm_ball(4.0)
-    params = [UnityParams(n=n) for n in (30, 28, 33)]
-    for p, u in zip(params, approximate_unities(body, params)):
-        assert np.array_equal(u.vec, approximate_unity(body, p).vec)
-    with pytest.raises(ValueError):
-        approximate_unities(body, [UnityParams(n=16), UnityParams(n=15)])
+    for ns in ((30, 28, 33), (16, 12, 15)):
+        us = approximate_unities(body, ns)
+        assert [u.degree for u in us] == [2 * n for n in ns]
+        for n, u in zip(ns, us):
+            assert np.array_equal(u.vec, approximate_unity(body, n).vec)
+    assert len({mesh_size(n) for n in (16, 12, 15)}) == 3
+    # an explicit h puts every degree on that mesh
+    for n, u in zip((16, 12), approximate_unities(body, (16, 12), 0.25)):
+        assert np.array_equal(u.vec, approximate_unity(body, n, 0.25).vec)
     with pytest.raises(UnsupportedBodyError):
-        approximate_unities(ConvexBody.square(), params)
+        approximate_unities(ConvexBody.square(), (30, 28, 33))
