@@ -100,6 +100,14 @@ class ConvexBody:
                 raise ValueError("polygon is not centrally symmetric")
         # edge i, from vertex i to vertex i + 1, is {<x, forms[i]> = 1}
         edges = np.stack([verts, np.roll(verts, -1, axis=0)], axis=1)
+        # an edge on a line through the origin has no such form
+        flat = np.abs(np.linalg.det(edges)) <= 1e-12 * np.prod(
+            np.linalg.norm(edges, axis=2), axis=1)
+        if np.any(flat):
+            v, w = (f"({x:g}, {y:g})" for x, y in edges[np.argmax(flat)])
+            raise ValueError(f"polygon repeats vertex {v}" if v == w else
+                             f"polygon vertices {v} and {w} lie on one ray "
+                             "from the origin")
         forms = np.linalg.solve(edges, np.ones((len(verts), 2, 1)))[..., 0]
         # the half-planes bound a different body if they cut off a vertex
         if np.max(verts @ forms.T) > 1 + 1e-9:

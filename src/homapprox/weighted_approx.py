@@ -19,12 +19,18 @@ LP error by more than 1%, every local maximum above it (beyond rounding) of
 the residual on that grid, read once around the boundary across the branches,
 joins the LP, at most twice the basis size of them (the largest) per round,
 which bounds the growth at the noise floor; at most four rounds.  The stop
-test has an absolute floor of 1e-10 max|f|, as the LP objective of a
-near-exact fit falls below the solver's tolerance (~1e-7).  Added nodes can only raise the LP optimum, so a round whose
-LP error does not rise has stalled and stops unconverged.  The iterate returned
-has the least sup error, the larger of its LP and verified errors.  The LP
-stays on HiGHS's default: its interior point loses digits on exact fits and
-stalls at n = 80.
+test has an absolute floor of 1e-10 max|f|.  Added nodes can only raise the LP
+optimum, so a round whose LP error does not rise has stalled and stops
+unconverged.  The iterate returned has the least sup error, the larger of its
+LP and verified errors.
+
+The LP of one fit lives on one HiGHS instance (`_ExchangeLP`).  The QR of the
+start block is taken once and every later row is mapped through the same
+R^-1, so a round only appends rows and the dual simplex warm-starts from the
+last basis.  The variables are the correction to the start block's
+least-squares fit, scaled by its residual, so a near-exact fit is solved to
+the solver's tolerance (~1e-7) relative to that residual, not in absolute
+terms.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.optimize import linprog
+# perfbench wraps this name until it reads package counters (ROADMAP item 1)
+from scipy.optimize import linprog  # noqa: F401
+from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import DegreeCapError, UnequalLimitsError, NoConvergenceError
 from .polys import HomogeneousPoly, _lift_graded, _times_form
@@ -87,9 +95,12 @@ def _columns(mod, c, s, nu, rec=None):
     beta_j p_j = (u - alpha_j) p_(j-1) - beta_(j-1) p_(j-2), p_0 = 1/beta_0,
     run on phi_j.  ``rec`` holds (alpha, beta) per family; without it they
     are measured here by discrete Stieltjes, each column of unit RMS and
-    orthogonal to its family.  Returns the columns and the recurrence."""
+    orthogonal to its family.  The columns take the inputs' precision (long
+    double inputs give long double columns).  Returns the columns and the
+    recurrence."""
     u = c * c
-    cols = np.empty(np.shape(u) + (nu + 1,), order="F")
+    cols = np.empty(np.shape(u) + (nu + 1,), np.result_type(mod, u),
+                    order="F")
     recs, k = [], 0
     for f, pref in enumerate(_PREFS[nu % 2]):
         size = (nu - len(pref) + 1) // 2 + 1
@@ -207,23 +218,66 @@ def _sample_f(f, t):
     return vals
 
 
-def _solve_lp(Psi, fvals):
-    m, k = Psi.shape
-    # Solved in the Q basis of the rows, mapped back through R (well
-    # conditioned: the columns are orthonormal on the verification grid); on
-    # the raw rows HiGHS took 1490 simplex steps, not 1093, at square n = 32.
-    Q, R = np.linalg.qr(Psi)
-    # variables: coefficients (k) + error bound e; minimize e
-    A = np.block([[Q, -np.ones((m, 1))], [-Q, -np.ones((m, 1))]])
-    b = np.concatenate([fvals, -fvals])
-    cvec = np.zeros(k + 1)
-    cvec[k] = 1.0
-    bounds = [(None, None)] * k + [(0, None)]
-    res = linprog(cvec, A_ub=A, b_ub=b, bounds=bounds, method="highs")
-    if not res.success:
-        raise NoConvergenceError(f"minimax LP failed: {res.message}")
-    coef = solve_triangular(R, res.x[:k])
-    return coef, res.x[k]
+class _ExchangeLP:
+    """The exchange's minimax LP, min e over |A c - b| <= e, on one HiGHS
+    instance per fit.  The start block's QR A = Q R fixes the variables
+    z = R c (well conditioned: the columns are orthonormal on the
+    verification grid), and every row added later is mapped through the same
+    R^-1, so the columns never change and each round warm-starts from the
+    last basis.  The LP is posed on the correction y to the start block's
+    least-squares fit y0 = Q^T b, z = y0 + s y, scaled by its residual
+    s = max|b - Q y0|: a near-exact fit then ends at the solver's tolerance
+    relative to s, not at ~1e-7 absolute."""
+
+    def __init__(self, A, b):
+        Q, self.R = np.linalg.qr(A)
+        self.y0 = Q.T @ b
+        self.s = float(np.max(np.abs(b - Q @ self.y0))) or 1.0
+        k = A.shape[1]
+        self.highs = _Highs()
+        self.highs.setOptionValue("output_flag", False)
+        # the rows come scaled (unit RMS columns, targets of unit size) and
+        # dense, so HiGHS's scaling and presolve find nothing to do; with
+        # its scaling the ellipse (2, 1) exp(x) cos(y) pair at n = 96 took
+        # 4795 simplex steps, not 785
+        self.highs.setOptionValue("simplex_scale_strategy", 0)
+        self.highs.setOptionValue("presolve", "off")
+        # variables y (free) and e >= 0; minimize e
+        cost, lower = np.zeros(k + 1), np.full(k + 1, -np.inf)
+        cost[k], lower[k] = 1.0, 0.0
+        self.highs.addCols(k + 1, cost, lower, np.full(k + 1, np.inf), 0,
+                           np.zeros(0, np.int32), np.zeros(0, np.int32),
+                           np.zeros(0))
+        self._append(Q, b)
+
+    def add(self, A, b):
+        """Append the rows |A c - b| <= e to the LP."""
+        self._append(solve_triangular(self.R, A.T, trans="T").T, b)
+
+    def _append(self, Qa, b):
+        # q y - e <= r and q y + e >= r for each row, r its scaled residual
+        m, k = Qa.shape
+        r = (b - Qa @ self.y0) / self.s
+        vals = np.empty((2, m, k + 1))
+        vals[:, :, :k] = Qa
+        vals[0, :, k], vals[1, :, k] = -1.0, 1.0
+        inf = np.full(m, np.inf)
+        self.highs.addRows(2 * m, np.concatenate([-inf, r]),
+                           np.concatenate([r, inf]), vals.size,
+                           np.arange(0, vals.size, k + 1, dtype=np.int32),
+                           np.tile(np.arange(k + 1, dtype=np.int32), 2 * m),
+                           vals.ravel())
+
+    def solve(self):
+        """The coefficients c and the error e of the LP's optimum."""
+        self.highs.run()
+        status = self.highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise NoConvergenceError(
+                f"minimax LP failed: {self.highs.modelStatusToString(status)}")
+        x = np.asarray(self.highs.getSolution().col_value)
+        return (solve_triangular(self.R, self.y0 + self.s * x[:-1]),
+                self.s * x[-1])
 
 
 def _peaks(resid, err, cap):
@@ -276,12 +330,11 @@ def _weighted_lp(branches, w, degrees):
     Bv, recs, fv = system(tv, thv, [None] * len(degrees))
     floor = 1e-10 * float(np.max(np.abs(fv)))
     B, _, fs = system(*nodes(4 * (max(degrees) + 1) + 1), recs)
-    A = np.vstack([B * s for s in signs])
-    b = fs.ravel()
-    cap = 2 * A.shape[1]
+    lp = _ExchangeLP(np.vstack([B * s for s in signs]), fs.ravel())
+    cap = 2 * B.shape[1]
     lp_solves, last, best = 0, -np.inf, (np.inf, None)
     while True:
-        coef, err = _solve_lp(A, b)
+        coef, err = lp.solve()
         lp_solves += 1
         resid = np.abs((signs * coef) @ Bv.T - fv)
         dense_err = float(np.max(resid))
@@ -294,14 +347,14 @@ def _weighted_lp(branches, w, degrees):
             break
         last = err
         branch, node = _peaks(resid, err, cap)
-        A = np.vstack([A, Bv[node] * signs[branch]])
-        b = np.concatenate([b, fv[branch, node]])
+        lp.add(Bv[node] * signs[branch], fv[branch, node])
 
     sup, coef = best
     blocks = np.split(coef, np.cumsum([nu + 1 for nu in degrees])[:-1])
     return [WeightedApproximant(nu=nu, weight=w, gref=gref, coef=c, rec=rec,
                                 sup_error=sup, lp_solves=lp_solves,
-                                lp_rows=2 * len(A), converged=converged)
+                                lp_rows=lp.highs.getNumRow(),
+                                converged=converged)
             for nu, rec, c in zip(degrees, recs, blocks)]
 
 

@@ -60,6 +60,22 @@ def test_unknown_key_pointer(tmp_path, capsys):
         assert f"/{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vertices, message", [
+    ([[1, 1], [1, 1], [-1, 1], [-1, -1], [-1, -1], [1, -1]],
+     "polygon repeats vertex (-1, -1)"),
+    ([[1, 0], [2, 0], [0, 1], [-1, 0], [-2, 0], [0, -1]],
+     "polygon vertices (1, 0) and (2, 0) lie on one ray from the origin"),
+], ids=["repeated", "one-ray"])
+def test_polygon_vertices_on_one_ray_are_config_error(tmp_path, capsys,
+                                                      vertices, message):
+    body = {"type": "polygon", "vertices": vertices}
+    cfg = write_cfg(tmp_path, {"body": body, "f": "x", "n": 8})
+    rc = main(["approx", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert message in err and " at /body" in err
+
+
 @pytest.mark.parametrize("body", [
     '{"type": "polygon", "vertices": [[1, 0], [-1, 0]]}',
     '{"type": "ellipse", "semi_axes": [2, 1, 1, 1]}',

@@ -165,6 +165,18 @@ def test_polygon_rejects_asymmetric_and_nonconvex_outlines():
     assert np.allclose(square.gauge(pts), 1.0, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("vertices, message", [
+    ([[1, 1], [1, 1], [-1, 1], [-1, -1], [-1, -1], [1, -1]],
+     r"repeats vertex \(-1, -1\)"),
+    ([[1, 0], [2, 0], [0, 1], [-1, 0], [-2, 0], [0, -1]],
+     r"vertices \(1, 0\) and \(2, 0\) lie on one ray"),
+], ids=["repeated", "one-ray"])
+def test_polygon_names_vertices_on_one_ray(vertices, message):
+    """The edge solve would fail as a singular matrix: the fault is named."""
+    with pytest.raises(ValueError, match=message):
+        ConvexBody.polygon(vertices)
+
+
 def test_corners_are_polygon_vertices_only():
     # counter-clockwise by angle from -pi
     assert np.array_equal(ConvexBody.square(0.5).corners(),
