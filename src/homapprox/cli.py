@@ -168,8 +168,7 @@ def _pair_json(pair):
 
 def _residual_rows(body, f, approx):
     theta = 2 * np.pi * np.arange(_RESIDUAL_ROWS) / _RESIDUAL_ROWS
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    pts = u / body.gauge(u)[:, None]
+    pts = body.boundary_at(theta)[0]
     fv = f(pts)
     av = approx(pts)
     return [(float(th), float(p[0]), float(p[1]), float(a), float(b),

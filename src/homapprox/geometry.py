@@ -1,9 +1,9 @@
 """Centrally symmetric convex bodies and their geometric primitives.
 
 Every body is planar.  A body is exposed through its Minkowski gauge |x|_K,
-radial function r(u), supporting lines, the diameter constant delta_K and the
-slope parametrization t -> (x(t), y(t)) that induces the boundary weight
-W(t) = x(t).
+radial function r(u), boundary points by direction angle, supporting lines,
+the diameter constant delta_K and the slope parametrization
+t -> (x(t), y(t)) that induces the boundary weight W(t) = x(t).
 """
 
 from __future__ import annotations
@@ -28,19 +28,17 @@ def _slope_directions(ts):
 
 @dataclass(frozen=True)
 class SupportLine:
-    """Supporting line {x : <x, w> = 1} touching the boundary at `base`."""
+    """Supporting line {x : <x, w> = 1} of normal w."""
 
-    base: np.ndarray
     normal: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "base", np.asarray(self.base, dtype=float))
         object.__setattr__(self, "normal", np.asarray(self.normal, dtype=float))
 
     def tangent_frame(self):
-        """Orthonormal basis [e] of the line's direction space."""
+        """Unit vector e along the line."""
         w = self.normal
-        return [np.array([-w[1], w[0]]) / np.linalg.norm(w)]
+        return np.array([-w[1], w[0]]) / np.linalg.norm(w)
 
     def foot(self):
         """Closest point of the line to the origin."""
@@ -279,7 +277,14 @@ class ConvexBody:
             raise BoundaryPointError(f"gauge(p) = {g}, not on the boundary")
         w = self.gauge_gradient(p)
         w = w / float(w @ p)
-        return SupportLine(base=p, normal=w)
+        return SupportLine(normal=w)
+
+    def boundary_at(self, theta):
+        """Boundary points in the directions of the angles theta, and their
+        distances from the origin."""
+        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+        radius = self.radial(dirs)
+        return dirs * radius[..., None], radius
 
     def boundary_points(self, n, seed=None):
         """n quasi-uniform boundary samples (random directions when seeded)."""
@@ -287,8 +292,7 @@ class ConvexBody:
             theta = np.random.default_rng(seed).uniform(0, 2 * np.pi, n)
         else:
             theta = 2 * np.pi * (np.arange(n) + 0.5) / n
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        return dirs * self.radial(dirs)[:, None]
+        return self.boundary_at(theta)[0]
 
     # ---------------------------------------------------------------- slope parametrization
 

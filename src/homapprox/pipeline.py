@@ -3,8 +3,9 @@
 Two routes produce an (even, odd) homogeneous pair whose sum approximates a
 continuous f on the boundary of a centrally symmetric planar body:
 
-* planar-potential route: slope-line transform of f on both halves of the
-  boundary and one weighted minimax of the even and odd parts jointly;
+* planar-potential route: f sampled around the boundary by direction angle
+  and one weighted minimax of the even and odd parts jointly over both half
+  turns;
 * geometric route (smooth bodies): a least-squares Weierstrass stage followed
   by multiplication of each graded part with an approximation of unity.
 """
@@ -19,8 +20,7 @@ from .errors import EscalationError
 from .polys import HomogeneousPoly, _planar_points
 from .report import ApproxReport
 from .unity import approximate_unities, mesh_size
-from .weighted_approx import (CompactifiedFunction, _weighted_lp,
-                              _homog_from_monomial)
+from .weighted_approx import _weighted_lp, _homog_from_monomial
 
 _VALIDATION_SEED = 0xB17E
 _REPORT_SAMPLES = 2000     # midpoint boundary angles; half as many seeded
@@ -75,21 +75,11 @@ def approximate_theorem2(body, f, n):
     n_even = n if n % 2 == 0 else n - 1
     n_odd = n - 1 if n % 2 == 0 else n
 
-    w = body.weight()
-    rho = w.rho
-    top = np.array([[0.0, rho]])
+    def sample(phi):
+        pts, radius = body.boundary_at(phi)
+        return radius, f(pts)
 
-    def on_plus(t):
-        return f(body.slope_points(np.asarray(t, dtype=float)))
-
-    def on_minus(t):
-        return f(-body.slope_points(np.asarray(t, dtype=float)))
-
-    # the theta -> 0+ grid node is the t -> -infinity limit: (0, -rho) on
-    # the canonical branch and (0, rho) on the mirrored one
-    Fp = CompactifiedFunction(on_plus, float(f(top)[0]), float(f(-top)[0]))
-    Fm = CompactifiedFunction(on_minus, float(f(-top)[0]), float(f(top)[0]))
-    wa_e, wa_o = _weighted_lp((Fp, Fm), w, (n_even, n_odd))
+    wa_e, wa_o = _weighted_lp(sample, body.weight(), (n_even, n_odd), 2)
     h_even = _homog_from_monomial(wa_e.monomial_coeffs(), n_even)
     h_odd = _homog_from_monomial(wa_o.monomial_coeffs(), n_odd)
 

@@ -133,7 +133,7 @@ def _patch_coeffs(body, patches, targets, radius):
         p_bd = u / body.gauge(u[None, :])[0]
         line = body.support_line(p_bd)
         w = np.asarray(line.normal, dtype=float)
-        e = line.tangent_frame()[0]
+        e = line.tangent_frame()
         s_k = float(np.dot(p_bd, e))
         geometry.append((w, e, line.foot(), s_k - radius, s_k + radius,
                          *_support_window(patch, w, e)))

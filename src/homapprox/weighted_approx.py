@@ -1,26 +1,30 @@
 """Best uniform approximation by weighted polynomials W^n p_n on the line.
 
-Through the direction angle th = arctan(t), with g(t) = W(t) sqrt(1+t^2),
-c = cos th and s = sin th, the family {W^n p_n : deg p_n <= n} on the
-compactified line is g^n times the degree-n forms in (c, s): two families
-pref(c, s) p(u), u = c^2, with pref = 1 and c s for even n, c and s for odd
-n.  One three-term recurrence per family, measured once per weight and
-degree by discrete Stieltjes on the fixed verification grid, gives columns
-phi_j = (g/gref)^n pref p_j(u) of unit RMS, orthonormal there, and runs on
-phi_j so that nothing overflows.  It serves the LP columns and every
-evaluation (with the modulus (r/gref)^n at a planar point) and, homogenized
-in x^2 and x^2 + y^2, the monomial coefficients through one Horner pass.
+The core reads a boundary by direction angle phi alone: a sampler gives the
+distance g(phi) to the boundary and the target there.  On the line t = tan phi,
+which only `weighted_minimax` knows, g = W(t) sqrt(1+t^2), and the family
+{W^n p_n : deg p_n <= n} is g^n times the degree-n forms in (c, s) =
+(cos phi, sin phi): two families pref(c, s) p(u), u = c^2, with pref = 1 and
+c s for even n, c and s for odd n.  One three-term recurrence per family,
+measured once per weight and degree by discrete Stieltjes on the fixed
+verification grid, gives columns phi_j = (g/gref)^n pref p_j(u) of unit RMS,
+orthonormal there, and runs on phi_j so that nothing overflows.  It serves
+the LP columns and every evaluation (with the modulus (r/gref)^n at a planar
+point) and, homogenized in x^2 and x^2 + y^2, the monomial coefficients
+through one Horner pass.
 
-One solver handles one parity or an even/odd pair solved jointly, by a
-multi-point exchange.  The LP starts on 4 (n + 1) + 1 nodes for the largest
-degree n; each fit is checked on a fixed grid of 40010 nodes, and the kinks of
-W (a polygon's vertex slopes) join both.  While the verified error exceeds the
+One solver handles one parity on one half turn of directions or an even/odd
+pair jointly on two, by a multi-point exchange; the columns are built on the
+first half turn, since a form of degree n takes the sign (-1)^n at phi + pi.
+The LP starts on 4 (n + 1) + 1 angles for the largest degree n; each fit is
+checked on a fixed grid of 40010 angles per half turn, and the kinks of W (a
+polygon's vertex directions) join both.  While the verified error exceeds the
 LP error by more than 1%, every local maximum above it (beyond rounding) of
-the residual on that grid, read once around the boundary across the branches,
-joins the LP, at most twice the basis size of them (the largest) per round,
-which bounds the growth at the noise floor; at most four rounds.  The stop
-test has an absolute floor of 1e-10 max|f|.  Added nodes can only raise the LP
-optimum, so a round whose LP error does not rise has stalled and stops
+the residual on that grid, read once around the boundary across the half
+turns, joins the LP, at most twice the basis size of them (the largest) per
+round, which bounds the growth at the noise floor; at most four rounds.  The
+stop test has an absolute floor of 1e-10 max|f|.  Added nodes can only raise
+the LP optimum, so a round whose LP error does not rise has stalled and stops
 unconverged.  The iterate returned has the least sup error, the larger of its
 LP and verified errors.
 
@@ -191,31 +195,10 @@ class WeightedApproximant:
         return self._mono
 
 
-def _grid(m):
-    """theta-uniform grid; index 0 is the infinity point, rest finite t."""
-    theta = 2 * np.pi * np.arange(m) / m
-    t = np.empty(m)
-    t[0] = np.nan
-    t[1:] = -1.0 / np.tan(theta[1:] / 2)
-    thc = (theta - np.pi) / 2  # arctan(t) for the finite nodes
-    return t, thc
-
-
-def _basis_matrix(w, nu, gref, t, thc, rec=None):
-    """`_columns` of degree nu at slopes t (nan: infinity), angles thc."""
-    mfin = np.isfinite(t)
-    gt = np.empty_like(t)
-    gt[mfin] = w.W(t[mfin]) * np.hypot(1.0, t[mfin]) / gref
-    gt[~mfin] = w.rho / gref
-    return _columns(gt ** nu, np.cos(thc), np.sin(thc), nu, rec)
-
-
-def _sample_f(f, t):
-    vals = np.empty_like(t)
-    fin = np.isfinite(t)
-    vals[fin] = f(t[fin])
-    vals[~fin] = f.at_neg_inf  # theta -> 0+ corresponds to t -> -infinity
-    return vals
+def _basis_matrix(radius, phi, nu, gref, rec=None):
+    """`_columns` of degree nu at direction angles phi, the boundary at
+    distance radius."""
+    return _columns((radius / gref) ** nu, np.cos(phi), np.sin(phi), nu, rec)
 
 
 class _ExchangeLP:
@@ -281,55 +264,59 @@ class _ExchangeLP:
 
 
 def _peaks(resid, err, cap):
-    """(branch, node) of the exchange's new LP nodes: the cap largest local
-    maxima above the LP error err (one within rounding of it is an earlier
-    round's node, active in the LP) of the residual on the verification grid
-    (the kinks past it are solved).  Branch 0 covers the directions
-    [-pi/2, pi/2) and branch 1 [pi/2, 3pi/2): the rows form one cycle."""
+    """(half turn, node) of the exchange's new LP nodes: the cap largest
+    local maxima above the LP error err (one within rounding of it is an
+    earlier round's node, active in the LP) of the residual on the
+    verification grid (the kinks past it are solved).  Half turn k covers
+    the directions [(2k - 1) pi/2, (2k + 1) pi/2): the rows form one cycle."""
     r = resid[:, :_VERIFY_GRID].ravel()
     peak = np.flatnonzero((r > np.roll(r, 1)) & (r >= np.roll(r, -1))
                           & (r > err * (1 + 1e-9)))
     return divmod(peak[np.argsort(r[peak])[-cap:]], _VERIFY_GRID)
 
 
-def _weighted_lp(branches, w, degrees):
+def _weighted_lp(sample, w, degrees, turns):
     """Discrete weighted minimax over stacked basis blocks (internal).
 
-    ``degrees`` gives one basis block per degree nu.  Branch k of
-    ``branches`` is the target at the boundary points (-1)^k p(t), where the
-    block of degree nu enters with sign (-1)^(k nu).  One branch with one
-    block is the single-parity problem; two branches with an even and an odd
-    block are the pair problem, whose sup error over the whole boundary is
-    minimized jointly so that the parities' residuals share extrema instead
-    of adding up.  Returns one WeightedApproximant per block.
+    ``sample(phi)`` gives the boundary's distance from the origin and the
+    target at direction angles phi, read over ``turns`` half turns from
+    phi = -pi/2.  ``degrees`` gives one basis block per degree nu, built on
+    the first half turn alone: a form of degree nu obeys h(-x) = (-1)^nu h(x),
+    so on half turn k the block enters with sign (-1)^(k nu).  One half turn
+    with one block is the single-parity problem; two half turns with an even
+    and an odd block are the pair problem, whose sup error over the whole
+    boundary is minimized jointly so that the parities' residuals share
+    extrema instead of adding up.  The kinks of W join the angles as
+    arctan(kink).  Returns one WeightedApproximant per block.
     """
     if max(degrees) > _DEGREE_CAP:
         raise DegreeCapError(f"degree {max(degrees)} beyond cap {_DEGREE_CAP}")
-    kinks = np.asarray(w.kinks, dtype=float)
+    kinks = np.arctan(w.kinks)
 
     def nodes(m):
-        # the error of a fit peaks at the kinks of W, which no uniform grid
-        # need hit: they join both grids
-        t, thc = _grid(m)
-        return (np.concatenate([t, kinks]),
-                np.concatenate([thc, np.arctan(kinks)]))
+        # m uniform angles of the first half turn; the error of a fit peaks
+        # at the kinks of W, which no uniform grid need hit: they join both
+        # grids
+        phi = np.concatenate([(2 * np.pi * np.arange(m) / m - np.pi) / 2, kinks])
+        radius, target = zip(*(sample(phi + k * np.pi) for k in range(turns)))
+        return phi, radius[0], np.stack(target)
 
-    tv, thv = nodes(_VERIFY_GRID)
-    fin = np.isfinite(tv)
-    gref = max(float(np.max(w.W(tv[fin]) * np.hypot(1.0, tv[fin]))), w.rho)
+    def columns(phi, radius, recs):
+        cols, recs = zip(*[_basis_matrix(radius, phi, nu, gref, rec)
+                           for nu, rec in zip(degrees, recs)])
+        return np.hstack(cols), recs
+
+    phv, rv, fv = nodes(_VERIFY_GRID)
+    gref = float(np.max(rv))
+    # each degree's recurrence is measured on the verification nodes
+    Bv, recs = columns(phv, rv, [None] * len(degrees))
+    floor = 1e-10 * float(np.max(np.abs(fv)))
+    phs, rs, fs = nodes(4 * (max(degrees) + 1) + 1)
+    B, _ = columns(phs, rs, recs)
+    # half turn k reads the block of degree nu with the parity (-1)^(k nu)
     signs = np.array([np.concatenate([np.full(nu + 1, (-1.0) ** (k * nu))
                                       for nu in degrees])
-                      for k in range(len(branches))])
-
-    def system(t, thc, recs):
-        cols, recs = zip(*[_basis_matrix(w, nu, gref, t, thc, rec)
-                           for nu, rec in zip(degrees, recs)])
-        return np.hstack(cols), recs, np.stack([_sample_f(f, t) for f in branches])
-
-    # each degree's recurrence is measured on the verification nodes
-    Bv, recs, fv = system(tv, thv, [None] * len(degrees))
-    floor = 1e-10 * float(np.max(np.abs(fv)))
-    B, _, fs = system(*nodes(4 * (max(degrees) + 1) + 1), recs)
+                      for k in range(turns)])
     lp = _ExchangeLP(np.vstack([B * s for s in signs]), fs.ravel())
     cap = 2 * B.shape[1]
     lp_solves, last, best = 0, -np.inf, (np.inf, None)
@@ -346,8 +333,8 @@ def _weighted_lp(branches, w, degrees):
         if converged or lp_solves > _REFINE_ROUNDS or err <= last:
             break
         last = err
-        branch, node = _peaks(resid, err, cap)
-        lp.add(Bv[node] * signs[branch], fv[branch, node])
+        turn, node = _peaks(resid, err, cap)
+        lp.add(Bv[node] * signs[turn], fv[turn, node])
 
     sup, coef = best
     blocks = np.split(coef, np.cumsum([nu + 1 for nu in degrees])[:-1])
@@ -367,7 +354,15 @@ def weighted_minimax(f, w, n):
     if not f.equal_limits:
         raise UnequalLimitsError(
             "function has different limits at +infinity and -infinity")
-    return _weighted_lp((f,), w, (n,))[0]
+
+    def sample(phi):
+        # slope t = tan phi; phi = -pi/2 is t = -infinity, the point (0, -rho)
+        end = phi == -np.pi / 2
+        t = np.where(end, 0.0, np.tan(phi))
+        return (np.where(end, w.rho, w.W(t) * np.hypot(1.0, t)),
+                np.where(end, f.at_neg_inf, f(t)))
+
+    return _weighted_lp(sample, w, (n,), 1)[0]
 
 
 def _homog_from_monomial(a, n):

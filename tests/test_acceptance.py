@@ -75,7 +75,7 @@ def test_criterion_2_homogenization_lift_and_suppression():
             a = np.array([np.cos(th), np.sin(th)])
             line = body.support_line(a)
             h = homogenize_even(parts, line, 6)
-            e = line.tangent_frame()[0]
+            e = line.tangent_frame()
             s = rng.uniform(-3, 3, 50)
             pts = line.foot()[None, :] + s[:, None] * e[None, :]
             p = sum(HomogeneousPoly.from_vector(row[:d + 1])(pts)
@@ -88,7 +88,7 @@ def test_criterion_2_homogenization_lift_and_suppression():
             th = rng.uniform(0, 2 * np.pi)
             a = np.array([np.cos(th), np.sin(th)])
             line = body.support_line(a)
-            e = line.tangent_frame()[0]
+            e = line.tangent_frame()
             # ambient even polynomial sum_k a_k <x,e>^{2k}, as graded parts
             parts = np.zeros((2 * n + 1, 2 * n + 1))
             parts[0, 0] = float(rng.standard_normal())

@@ -79,8 +79,8 @@ def test_support_line_supports():
 
 
 def test_support_line_frame():
-    line = SupportLine(base=np.array([1.0, 0.0]), normal=np.array([1.0, 0.0]))
-    (e,) = line.tangent_frame()
+    line = SupportLine(normal=np.array([1.0, 0.0]))
+    e = line.tangent_frame()
     assert np.allclose(e, [0.0, 1.0]) or np.allclose(e, [0.0, -1.0])
     assert np.allclose(line.foot(), [1.0, 0.0])
 

@@ -161,7 +161,7 @@ def _line(body, patch, radius):
     u = patch.anchor_direction
     p_bd = u / body.gauge(u[None, :])[0]
     line = body.support_line(p_bd)
-    e = line.tangent_frame()[0]
+    e = line.tangent_frame()
     s_k = float(np.dot(p_bd, e))
     return line.normal, e, line.foot(), s_k - radius, s_k + radius
 

@@ -215,13 +215,13 @@ def _mp_monomial_coeffs(wa):
 
 def _expcos_pair(body, degrees):
     """Joint (even, odd) fit of exp(x) cos(y) on Bd(body), with the target."""
-    w = body.weight()
     f = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
-    top = np.array([[0.0, w.rho]])
-    branches = [CompactifiedFunction(
-        lambda t, s=s: f(s * body.slope_points(np.asarray(t, dtype=float))),
-        float(f(s * top)[0]), float(f(-s * top)[0])) for s in (1.0, -1.0)]
-    return weighted_approx._weighted_lp(branches, w, degrees), f
+
+    def sample(phi):
+        pts, radius = body.boundary_at(phi)
+        return radius, f(pts)
+
+    return weighted_approx._weighted_lp(sample, body.weight(), degrees, 2), f
 
 
 def test_exchange_error_matches_fresh_fine_grid():
@@ -256,10 +256,9 @@ def test_fits_write_nothing_to_the_terminal(capfd):
     assert capfd.readouterr() == ("", "")
 
 
-def test_exchange_adds_no_row_twice(monkeypatch):
-    """A residual peak within rounding of the LP error is an earlier round's
-    peak, active in the LP: the exchange does not add its row again (the
-    square pair at n = 32 re-added two in its third LP)."""
+def _recorded_systems(monkeypatch):
+    """The rows of each LP the exchange solves, recorded through a subclass
+    of `_ExchangeLP` that sees the start block and every `add`."""
     rows, systems = [], []
 
     class Recording(weighted_approx._ExchangeLP):
@@ -276,27 +275,77 @@ def test_exchange_adds_no_row_twice(monkeypatch):
             return super().solve()
 
     monkeypatch.setattr(weighted_approx, "_ExchangeLP", Recording)
+    return systems
+
+
+def test_exchange_adds_no_row_twice(monkeypatch):
+    """A residual peak within rounding of the LP error is an earlier round's
+    peak, active in the LP: the exchange does not add its row again (the
+    square pair at n = 32 re-added two in its third LP)."""
+    systems = _recorded_systems(monkeypatch)
     _expcos_pair(ConvexBody.square(), (32, 31))
     assert len(systems) > 1
     for A in systems:
         assert len(np.unique(A, axis=0)) == len(A)
 
 
+_HEXAGON = [(0, 1), (1, .5), (1, -.5), (0, -1), (-1, -.5), (-1, .5)]
+
+
+@pytest.mark.parametrize("n", [9, 24])
+@pytest.mark.parametrize("f", [
+    lambda p: np.abs(p[:, 1]),
+    lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1]),
+], ids=["absy", "expcos"])
+def test_pair_with_corners_where_the_half_turns_meet(f, n, monkeypatch):
+    """The hexagon's vertices (0, +-1) sit at phi = -pi/2 and pi/2, where the
+    pair's half turns start: the joint error agrees with 400k fresh angles
+    plus the corners, and no LP row repeats."""
+    systems = _recorded_systems(monkeypatch)
+    body = ConvexBody.polygon(_HEXAGON)
+    pair = approximate_theorem2(body, f, n)
+    pts = np.vstack([body.boundary_points(400_000), body.corners()])
+    fresh = float(np.max(np.abs(f(pts) - pair(pts))))
+    joint = pair.report.extras["joint_sup_error"]
+    assert abs(joint - fresh) <= 1e-3 * fresh
+    for A in systems:
+        assert len(np.unique(A, axis=0)) == len(A)
+
+
+@pytest.mark.parametrize("nu", [7, 8, 127, 128])
+@pytest.mark.parametrize("body", [ConvexBody.square(),
+                                  ConvexBody.ellipse(4.0, 1.0)],
+                         ids=["square", "ellipse-4-1"])
+def test_basis_takes_the_parity_of_a_form(body, nu):
+    """A form of degree nu obeys h(-x) = (-1)^nu h(x): the columns at
+    phi + pi are (-1)^nu times those at phi, with the same recurrence, which
+    is why the pair LP builds them on the first half turn only."""
+    phi = (2 * np.pi * np.arange(4001) / 4001 - np.pi) / 2
+    _, radius = body.boundary_at(phi)
+    gref = float(np.max(radius))
+    B, rec = weighted_approx._basis_matrix(radius, phi, nu, gref)
+    _, radius = body.boundary_at(phi + np.pi)
+    turned, _ = weighted_approx._basis_matrix(radius, phi + np.pi, nu, gref,
+                                              rec)
+    assert (np.max(np.abs(turned - (-1) ** nu * B))
+            <= 1e-11 * np.max(np.abs(B)))
+
+
 def test_exchange_peaks_run_across_the_seam():
-    """The pair's branches continue each other around the boundary: a
-    residual whose only local maximum is branch 1's node 0, at the seam
-    with branch 0's last node, gives that one node, not one per branch
-    end.  The kink columns past the grid are not candidates."""
+    """The pair's half turns continue each other around the boundary: a
+    residual whose only local maximum is half turn 1's node 0, at the seam
+    with half turn 0's last node, gives that one node, not one per half
+    turn end.  The kink columns past the grid are not candidates."""
     m = weighted_approx._VERIFY_GRID
     i = np.arange(2 * m)
     resid = np.hstack([(1.0 - np.abs(i - m) / (2 * m)).reshape(2, m),
                        np.full((2, 2), 5.0)])
-    branch, node = weighted_approx._peaks(resid, 0.0, 10)
-    assert branch.tolist() == [1] and node.tolist() == [0]
-    # the same tent on one branch peaks at its middle node alone
+    turn, node = weighted_approx._peaks(resid, 0.0, 10)
+    assert turn.tolist() == [1] and node.tolist() == [0]
+    # the same tent on one half turn peaks at its middle node alone
     one = (1.0 - np.abs(np.arange(m) - m // 2) / m)[None]
-    branch, node = weighted_approx._peaks(one, 0.0, 10)
-    assert branch.tolist() == [0] and node.tolist() == [m // 2]
+    turn, node = weighted_approx._peaks(one, 0.0, 10)
+    assert turn.tolist() == [0] and node.tolist() == [m // 2]
 
 
 def test_exchange_returns_no_worse_than_first_round(monkeypatch):
