@@ -28,7 +28,9 @@ def _slope_directions(ts):
 
 @dataclass(frozen=True)
 class SupportLine:
-    """Supporting line {x : <x, w> = 1} of normal w."""
+    """Supporting line {x : <x, w> = 1} of normal w, or a batch of them: the
+    normals (..., 2) and everything derived from them broadcast over the
+    leading axes."""
 
     normal: np.ndarray
 
@@ -38,12 +40,13 @@ class SupportLine:
     def tangent_frame(self):
         """Unit vector e along the line."""
         w = self.normal
-        return np.array([-w[1], w[0]]) / np.linalg.norm(w)
+        return (np.stack([-w[..., 1], w[..., 0]], axis=-1)
+                / np.sqrt(np.vecdot(w, w))[..., None])
 
     def foot(self):
         """Closest point of the line to the origin."""
         w = self.normal
-        return w / (w @ w)
+        return w / np.vecdot(w, w)[..., None]
 
 
 def _lengths(values, count, what):
@@ -183,29 +186,6 @@ class ConvexBody:
         theta = np.arctan2(x[..., 1], x[..., 0]) % (2 * np.pi)
         return nrm / self.params["interp"](theta)
 
-    def gauge_bisect(self, x):
-        """Bisection-on-ray oracle for the gauge (cross-check, scalar point)."""
-        x = np.asarray(x, dtype=float)
-        nx = np.linalg.norm(x)
-        if nx == 0:
-            return 0.0
-        lo, hi = 0.0, 1.0
-        while self.gauge(x / hi) > 1:
-            hi *= 2
-            if hi > 1e18:
-                raise BoundaryPointError("ray never enters the body")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if self.gauge(x / mid) > 1:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13 * hi:
-                break
-        return 0.5 * (lo + hi)
-
     def radial(self, u):
         """Distance from the origin to the boundary in direction u (unit or not)."""
         u = np.asarray(u, dtype=float)
@@ -270,14 +250,16 @@ class ConvexBody:
         return float(max(np.max(r), -res.fun))
 
     def support_line(self, p):
-        """Supporting line at boundary point p, normalized to <x, w> = 1."""
+        """Supporting line at boundary point p, normalized to <x, w> = 1; for
+        points p (..., 2), the batch of their lines."""
         p = np.asarray(p, dtype=float)
-        g = float(self.gauge(p))
-        if abs(g - 1.0) > _BOUNDARY_TOL:
-            raise BoundaryPointError(f"gauge(p) = {g}, not on the boundary")
+        g = np.ravel(self.gauge(p))
+        off = np.abs(g - 1.0)
+        if np.any(off > _BOUNDARY_TOL):
+            raise BoundaryPointError(
+                f"gauge(p) = {g[np.argmax(off)]}, not on the boundary")
         w = self.gauge_gradient(p)
-        w = w / float(w @ p)
-        return SupportLine(normal=w)
+        return SupportLine(normal=w / np.vecdot(w, p)[..., None])
 
     def boundary_at(self, theta):
         """Boundary points in the directions of the angles theta, and their

@@ -131,8 +131,7 @@ class SpherePatch:
 
     @property
     def anchor_direction(self):
-        c = np.asarray(self.center, dtype=float)
-        return c / np.linalg.norm(c)
+        return anchor_directions(self.center)
 
     @property
     def offsets(self):
@@ -144,6 +143,13 @@ class SpherePatch:
         u = np.atleast_2d(np.asarray(u, dtype=float))
         out = cube_pair_bump(u, self.h, self.offsets)
         return out if len(out) != 1 else float(out[0])
+
+
+def anchor_directions(centers):
+    """The unit vectors of cube centers (..., d): the anchor directions of
+    their patches, one batch computed as one patch's."""
+    c = np.asarray(centers, dtype=float)
+    return c / np.sqrt(np.vecdot(c, c))[..., None]
 
 
 def cube_pair_bump(u, h, offsets):

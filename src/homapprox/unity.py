@@ -10,8 +10,9 @@ on the boundary staying close to the supporting line.
 Approximants of several degrees (`approximate_unities`, as the geometric
 route needs one per graded part) are built together per `mesh_size`: the
 patches, lines, support windows, bump and gauge samples are computed once,
-each degree costs one batched transform, and one homogenized Chebyshev
-recurrence feeds the Horner sums of all degrees in lockstep.
+each degree costs one cosine sum per patch over the nodes of its support
+window and the kept terms only, and one homogenized Chebyshev recurrence
+feeds the Horner sums of all degrees in lockstep.
 """
 
 from __future__ import annotations
@@ -19,15 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedBodyError
-from .partition import cube_pair_bump, sphere_patches
-from .polys import (HomogeneousPoly, _lift_graded, _times_form, cheb_coeffs,
-                    cheb_nodes)
+from .partition import (SpherePatch, anchor_directions, cube_pair_bump,
+                        sphere_patches)
+from .polys import HomogeneousPoly, _lift_graded, _times_form, cheb_nodes
 from .report import ApproxReport
 
 
 _FIT_RADIUS = 2.2   # fit interval half-length, in units of delta_K
 _FIT_NODES = 4096   # Chebyshev sample count for the projection
 _FIT_T = (cheb_nodes(_FIT_NODES) + 1) / 2   # the fit nodes mapped to [0, 1]
+# cos(m pi / 2N), m < 4N: every cosine of the fit's DCT-II
+_FIT_COS = np.cos(np.arange(4 * _FIT_NODES) * (np.pi / (2 * _FIT_NODES)))
 _WINDOW_MARGIN = 1e-9   # support-window widening, relative to hi - lo
 _CUBE_CORNERS = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
 
@@ -99,64 +102,102 @@ def _support_window(patch, w, e):
     The bump is nonzero only at directions inside its open cube pair.  A
     direction v with <v,w> > 0 meets the line at s = <v,e>/<v,w>, so a cube's
     cone meets it in the s-interval spanned by the cube's corners.  A cube
-    with no corner on the line's side misses it; one straddling <x,w> = 0
-    gets the whole line.
+    with no corner on the line's side misses it (a patch whose cubes both
+    miss gets the empty window (inf, -inf)); one straddling <x,w> = 0 gets
+    the whole line.  For a list of patches, with one row of w and e each, a
+    and b are arrays; one patch is the one-row case.
     """
-    corners = patch.center + patch.h / 2 * _CUBE_CORNERS
-    a, b = np.inf, -np.inf
-    for v in (corners, -corners):
-        vw = v @ w
-        if np.all(vw <= 0):
-            continue
-        if np.any(vw <= 0):
-            return -np.inf, np.inf
-        s = (v @ e) / vw
-        a, b = min(a, s.min()), max(b, s.max())
-    return a, b
+    group = not isinstance(patch, SpherePatch)
+    patches = patch if group else [patch]
+    center = np.array([p.center for p in patches])
+    half = np.array([p.h for p in patches])[:, None, None] / 2
+    corners = center[:, None, :] + half * _CUBE_CORNERS
+    v = np.stack([corners, -corners], axis=1)      # (patches, cube, corner, 2)
+    w = np.reshape(w, (-1, 1, 1, 2))
+    vw = np.vecdot(v, w)
+    ahead = vw > 0
+    s = np.divide(np.vecdot(v, np.reshape(e, (-1, 1, 1, 2))), vw,
+                  out=np.zeros_like(vw), where=ahead)
+    meets = ahead.any(axis=2, keepdims=True)
+    a = np.where(meets, s, np.inf).min(axis=(1, 2))
+    b = np.where(meets, s, -np.inf).max(axis=(1, 2))
+    straddles = (meets & ~ahead).any(axis=(1, 2))
+    a[straddles], b[straddles] = -np.inf, np.inf
+    return (a, b) if group else (a[0], b[0])
+
+
+def _window_coeffs(vals, start, stop, terms):
+    """cheb_coeffs(rows)[:, :terms] of rows of _FIT_NODES samples that are 0
+    off the node ranges [start[i], stop[i]); vals holds each row's samples on
+    its range, one row after the other.
+
+    A coefficient is the cosine sum of the DCT-II that cheb_coeffs runs,
+    c_j = (2/N) sum_k v_k cos(j (2k + 1) pi / 2N) with c_0 halved, taken
+    over the row's range only and for j < terms only: one vector-matrix
+    product per row.  The cosines are read from a table of cos(m pi / 2N) at
+    m = j (2k + 1) mod 4N, so no angle past 2 pi is rounded; the table rows
+    span the union of the ranges.
+    """
+    used = stop > start
+    first = start[used].min(initial=_FIT_NODES)
+    k = np.arange(first, stop[used].max(initial=first))
+    cos = _FIT_COS[np.outer(2 * k + 1, np.arange(terms)) % len(_FIT_COS)]
+    out = np.zeros((len(start), terms))
+    end = 0
+    for i, (a, b) in enumerate(zip(start.tolist(), stop.tolist())):
+        out[i] = vals[end:end + b - a] @ cos[a - first:b - first]
+        end += b - a
+    out *= 2 / _FIT_NODES
+    out[:, 0] *= 0.5
+    return out
 
 
 def _patch_coeffs(body, patches, targets, radius):
     """Truncated Chebyshev series of each ray-corrected bump on its line.
 
     Returns (cs, w, e, lo, hi): one (patches, T + 1) coefficient array in cs
-    per target T, and one row per patch of the rest.  A bump is evaluated
-    only at the nodes inside its support window (widened by a relative
-    margin against rounding; every other node is exactly 0).  The line
-    geometry, the window nodes of all patches, their bump values and their
-    gauge values are computed once for all targets; each target then fills
-    one shared sample buffer with bump * gauge^T and runs one batched
-    transform, of which a copy of the kept coefficients is stored.
+    per target T, and one row per patch of the rest.  The line geometry of
+    all patches is one batch.  A bump is evaluated only at the fit nodes
+    inside its support window (widened by a relative margin against
+    rounding), an index range of the monotone _FIT_T; it is exactly 0 at
+    every other node, so each target's kept coefficients are the windowed
+    cosine sums of `_window_coeffs`, the truncation of cheb_coeffs over all
+    nodes.  The window nodes, their bump values and their gauge values are
+    computed once for all targets, and each target sums bump * gauge^T.
     """
-    geometry = []
-    for patch in patches:
-        u = patch.anchor_direction
-        p_bd = u / body.gauge(u[None, :])[0]
-        line = body.support_line(p_bd)
-        w = np.asarray(line.normal, dtype=float)
-        e = line.tangent_frame()
-        s_k = float(np.dot(p_bd, e))
-        geometry.append((w, e, line.foot(), s_k - radius, s_k + radius,
-                         *_support_window(patch, w, e)))
-    w, e, x_c, lo, hi, a, b = (np.array(v) for v in zip(*geometry))
-
-    ss = lo[:, None] + (hi - lo)[:, None] * _FIT_T
+    center = np.array([p.center for p in patches])
+    u = anchor_directions(center)
+    p_bd = u / body.gauge(u)[:, None]
+    line = body.support_line(p_bd)
+    w, e = line.normal, line.tangent_frame()
+    s_k = np.vecdot(p_bd, e)
+    lo, hi = s_k - radius, s_k + radius
+    a, b = _support_window(patches, w, e)
+    # node k is in the window if a - margin <= lo + (hi - lo) _FIT_T[k] <=
+    # b + margin, and _FIT_T falls with k
     margin = _WINDOW_MARGIN * (hi - lo)
-    rows, cols = np.nonzero((ss >= (a - margin)[:, None])
-                            & (ss <= (b + margin)[:, None]))
-    x = x_c[rows] + ss[rows, cols][:, None] * e[rows]
+    rising = _FIT_T[::-1]
+    start = _FIT_NODES - np.searchsorted(rising, (b + margin - lo) / (hi - lo),
+                                         side="right")
+    stop = np.maximum(start, _FIT_NODES - np.searchsorted(
+        rising, (a - margin - lo) / (hi - lo), side="left"))
+    # the window nodes of all patches, one patch after the other: patch
+    # rows[i], node cols[i]
+    count = stop - start
+    rows = np.repeat(np.arange(len(patches)), count)
+    begin = np.cumsum(count) - count
+    cols = np.arange(count.sum()) + np.repeat(start - begin, count)
+    ss = lo[rows] + (hi - lo)[rows] * _FIT_T[cols]
+    x = line.foot()[rows] + ss[:, None] * e[rows]
     r = np.linalg.norm(x, axis=1)
     h = np.array([p.h for p in patches])[rows, None]
     offsets = np.array([p.offsets for p in patches])[rows]
     bump = cube_pair_bump(x / r[:, None], h, offsets)
     nz = bump > 0
-    rows, cols, bump = rows[nz], cols[nz], bump[nz]
-    gauge = body.gauge(x[nz])
-    vals = np.zeros(ss.shape)
-    cs = []
-    for target in targets:
-        vals[rows, cols] = bump * gauge ** target
-        # a copy: a slice would keep the whole transform alive
-        cs.append(cheb_coeffs(vals, axis=1)[:, :target + 1].copy())
+    gauge = np.zeros(len(bump))
+    gauge[nz] = body.gauge(x[nz])
+    cs = [_window_coeffs(bump * gauge ** target, start, stop, target + 1)
+          for target in targets]
     return cs, w, e, lo, hi
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homapprox import ConvexBody, DimensionError, HomogeneousPoly
+from homapprox import (BoundaryPointError, ConvexBody, DimensionError,
+                       HomogeneousPoly)
 from homapprox.geometry import SupportLine
 from homapprox.weighted_approx import _homog_from_monomial
 
@@ -40,12 +41,36 @@ def test_gauge_homogeneity():
         assert np.max(np.abs(body.gauge(-x) - g1)) < 1e-12 * np.max(g1)
 
 
+def _gauge_bisect(body, x):
+    """Bisection-on-ray oracle for the gauge (cross-check, scalar point)."""
+    x = np.asarray(x, dtype=float)
+    nx = np.linalg.norm(x)
+    if nx == 0:
+        return 0.0
+    lo, hi = 0.0, 1.0
+    while body.gauge(x / hi) > 1:
+        hi *= 2
+        if hi > 1e18:
+            raise BoundaryPointError("ray never enters the body")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if body.gauge(x / mid) > 1:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
 def test_gauge_bisect_matches_analytic():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((50, 2))
     for body in bodies().values():
         g = body.gauge(x)
-        gb = np.array([body.gauge_bisect(p) for p in x])
+        gb = np.array([_gauge_bisect(body, p) for p in x])
         assert np.max(np.abs(g - gb)) < 1e-10 * np.max(g)
 
 
@@ -76,6 +101,25 @@ def test_support_line_supports():
             # whole body on the <= 1 side
             sample = body.boundary_points(200)
             assert np.max(sample @ w) <= 1.0 + 1e-8
+
+
+def test_support_lines_of_a_batch_match_single_lines():
+    """support_line over (..., 2) points gives, bit for bit, each point's own
+    line, frame and foot, and rejects the batch if one point is off the
+    boundary."""
+    for body in bodies().values():
+        pts = body.boundary_points(24, seed=5).reshape(4, 6, 2)
+        lines = body.support_line(pts)
+        e, foot = lines.tangent_frame(), lines.foot()
+        assert lines.normal.shape == e.shape == foot.shape == (4, 6, 2)
+        for idx in np.ndindex(4, 6):
+            line = body.support_line(pts[idx])
+            assert np.array_equal(line.normal, lines.normal[idx])
+            assert np.array_equal(line.tangent_frame(), e[idx])
+            assert np.array_equal(line.foot(), foot[idx])
+        pts[2, 3] *= 1.01
+        with pytest.raises(BoundaryPointError, match="not on the boundary"):
+            body.support_line(pts)
 
 
 def test_support_line_frame():

@@ -1,5 +1,6 @@
 """Public surface of the package."""
 
+import importlib.util
 import inspect
 import pathlib
 import re
@@ -29,3 +30,19 @@ def test_every_error_class_is_raised():
     unraised = [c.__name__ for c in classes if c not in bases
                 and not re.search(rf"\braise {c.__name__}\b", source)]
     assert not unraised
+
+
+def test_traced_benchmark_finds_every_layer():
+    """The benchmark's tracer wraps package functions by name
+    (perfbench/spans.py): every per-layer metric must find one of its
+    targets, or a traced run reports that metric as null."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing_metrics() == set()
+    finally:
+        tracer.uninstall()

@@ -261,9 +261,10 @@ def test_theorem1_matches_one_multiplier_at_a_time(body, n):
 
 def test_theorem1_memory_peak():
     """A warm theorem-1 call at n = 64 keeps its traced peak near that of
-    one unity build: each target keeps a copy of its kept coefficients, not
-    a view that pins the whole (patches, 4096) transform.  About 9 MB here;
-    views would read about 20 MB."""
+    one unity build: the patch fits hold only their window nodes' samples
+    and each target's kept coefficients, not a transform over all 4096
+    nodes of every patch's line.  About 3.3 MB here; the dense transform
+    read about 9.3 MB."""
     import tracemalloc
     body = ConvexBody.ellipse(2.0, 1.0)
     f = lambda p: np.exp(p[:, 0])

@@ -175,12 +175,36 @@ def _full_line_bump(body, patch, radius):
     return ss, x, np.atleast_1d(patch.bump(x / r[:, None]))
 
 
+# cos(m pi / 2N) in long double, m < 4N: the cosines of a DCT-II of N nodes
+_LD_COS = np.cos(np.arange(4 * unity._FIT_NODES, dtype=np.longdouble)
+                 * (np.arccos(np.longdouble(-1)) / (2 * unity._FIT_NODES)))
+
+
+def _ld_cheb_coeffs(vals, terms):
+    """The first `terms` Chebyshev coefficients of samples at the fit nodes,
+    as a long-double direct cosine sum (2/N) sum_k v_k cos(j (2k + 1) pi / 2N),
+    c_0 halved; zero samples are skipped."""
+    k = np.flatnonzero(vals)
+    cos = _LD_COS[np.outer(2 * k + 1, np.arange(terms)) % len(_LD_COS)]
+    c = vals[k].astype(np.longdouble) @ cos * 2 / len(vals)
+    c[0] /= 2
+    return c
+
+
+def _assert_cheb_close(c, vals, ref):
+    """|c - ref| <= 1e-13 (2/N) sum |v| for every coefficient."""
+    bound = 1e-13 * 2 * np.sum(np.abs(vals)) / len(vals)
+    assert np.all(np.abs(c - ref) <= bound)
+
+
 @pytest.mark.parametrize("h", [None, 0.03])
 @pytest.mark.parametrize("name", sorted(_FIT_BODIES))
 def test_windowed_batch_fit_matches_full_line_fit(name, h):
-    """Each row of the batched, windowed fit equals, bit for bit, the fit of
-    the bump evaluated on all nodes of its line, one patch and one target at
-    a time, for every target of a multi-target call."""
+    """Each row of the batched, windowed fit matches a long-double cosine sum
+    over the bump evaluated on all nodes of its line, one patch and one
+    target at a time, for every target of a multi-target call, as closely as
+    cheb_coeffs of those samples does; its line is the patch's own, bit for
+    bit."""
     body = _FIT_BODIES[name]()
     n = 16
     h = mesh_size(n, h)
@@ -189,8 +213,8 @@ def test_windowed_batch_fit_matches_full_line_fit(name, h):
     patches = sphere_patches(h, 2)
     cs, w, e, lo, hi = _patch_coeffs(body, patches, targets, radius)
     assert [c.shape for c in cs] == [(len(patches), t + 1) for t in targets]
-    # each target's coefficients are their own array, not a view of the
-    # (patches, nodes) transform
+    # each target's coefficients are their own array, not a view of a
+    # buffer shared by the targets
     assert all(c.base is None for c in cs)
     for i, patch in enumerate(patches):
         ss, x, b = _full_line_bump(body, patch, radius)
@@ -198,11 +222,49 @@ def test_windowed_batch_fit_matches_full_line_fit(name, h):
             vals = np.zeros(len(ss))
             nz = b > 0
             vals[nz] = b[nz] * body.gauge(x[nz]) ** target
-            ref = cheb_coeffs(vals)[:target + 1]
-            assert np.array_equal(c[i], ref), (name, h, i, target)
+            ref = _ld_cheb_coeffs(vals, target + 1)
+            _assert_cheb_close(c[i], vals, ref)
+            _assert_cheb_close(cheb_coeffs(vals)[:target + 1], vals, ref)
         w_i, e_i, _, lo_i, hi_i = _line(body, patch, radius)
         assert np.array_equal(w[i], w_i) and np.array_equal(e[i], e_i)
         assert (lo[i], hi[i]) == (lo_i, hi_i)
+
+
+def test_window_coeffs_match_dense_transform():
+    """The windowed cosine sums equal cheb_coeffs of the dense rows, truncated,
+    within the bound of the full-line fit test: rows with random ranges, one
+    row with no node, one with all 4096 nodes, one with a single node."""
+    rng = np.random.default_rng(12)
+    nodes = unity._FIT_NODES
+    start = np.concatenate([rng.integers(1500, 2000, 5), [3000, 0, nodes - 1]])
+    stop = np.concatenate([start[:5] + rng.integers(1, 600, 5),
+                           [3000, nodes, nodes]])
+    dense = np.zeros((len(start), nodes))
+    for i, (a, b) in enumerate(zip(start, stop)):
+        dense[i, a:b] = rng.uniform(0.0, 2.0, b - a)
+    vals = np.concatenate([row[a:b] for row, a, b in zip(dense, start, stop)])
+    terms = 129
+    c = unity._window_coeffs(vals, start, stop, terms)
+    assert c.shape == (len(start), terms)
+    assert not c[5].any()
+    ref = cheb_coeffs(dense, axis=1)[:, :terms]
+    for i in range(len(start)):
+        _assert_cheb_close(c[i], dense[i], ref[i])
+
+
+@pytest.mark.parametrize("name", ["ellipse-1-3", "radial"])
+def test_patch_coeffs_of_one_target_match_a_multi_target_call(name):
+    """A target fitted alone equals, bit for bit, the same target fitted
+    among others in one _patch_coeffs call, with its line geometry."""
+    body = _FIT_BODIES[name]()
+    radius = unity._FIT_RADIUS * body.delta()
+    patches = sphere_patches(0.1, 2)
+    many = _patch_coeffs(body, patches, [64, 128, 33], radius)
+    for j, target in enumerate((64, 128, 33)):
+        one = _patch_coeffs(body, patches, [target], radius)
+        assert np.array_equal(one[0][0], many[0][j]), target
+        for a, b in zip(one[1:], many[1:]):
+            assert np.array_equal(a, b)
 
 
 @given(st.sampled_from(sorted(_FIT_BODIES)), st.floats(0.03, 0.35),
