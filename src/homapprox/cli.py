@@ -193,6 +193,12 @@ def _run_approx(cfg, out):
         raise ConfigError("route must be auto|geometric|planar",
                           pointer="/route")
     if route == "geometric":
+        if n < 8:
+            raise ConfigError("the geometric route needs n at least 8",
+                              pointer="/n")
+        if not body.is_smooth():
+            raise ConfigError("the geometric route needs a smooth body",
+                              pointer="/route")
         pair = approximate_theorem1(body, f, n)
     else:
         pair = approximate_theorem2(body, f, n)

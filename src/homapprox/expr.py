@@ -59,8 +59,6 @@ def _tokenize(text):
             col = len(text) - len(stripped) + 1
             raise ExprError(f"unexpected character {stripped[0]!r} at column "
                             f"{col}", column=col)
-        if m.end() == m.start():
-            break
         kind = m.lastgroup
         tok_text = m.group(0).lstrip()
         col = m.end() - len(tok_text) + 1
@@ -233,14 +231,14 @@ def parse_expr(text):
 
 def boundary_function(node):
     """Vectorized f(points) of planar points from an expression in x and y."""
-    extra = node.variables() - {"x", "y"}
-    if extra:
+    names = node.variables()
+    if extra := names - {"x", "y"}:
         raise ExprError(f"variable(s) {sorted(extra)} not allowed here")
 
     def f(pts):
         pts = np.asarray(pts, dtype=float)
         env = {"x": pts[:, 0], "y": pts[:, 1]}
-        out = node(**{k: v for k, v in env.items() if k in node.variables()})
+        out = node(**{k: v for k, v in env.items() if k in names})
         return np.broadcast_to(np.asarray(out, dtype=float),
                                (len(pts),)).copy()
 
@@ -249,13 +247,13 @@ def boundary_function(node):
 
 def line_function(node):
     """Vectorized g(t) from an expression in the single variable t."""
-    extra = node.variables() - {"t"}
-    if extra:
+    names = node.variables()
+    if extra := names - {"t"}:
         raise ExprError(f"variable(s) {sorted(extra)} not allowed here")
 
     def g(t):
         t = np.asarray(t, dtype=float)
-        out = node(**({"t": t} if "t" in node.variables() else {}))
+        out = node(**({"t": t} if "t" in names else {}))
         return np.broadcast_to(np.asarray(out, dtype=float), t.shape).copy()
 
     return g

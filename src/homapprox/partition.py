@@ -101,20 +101,15 @@ def partition_sum_and_overlap(points, h):
     counts = np.ones(n)
     for j in range(d):
         v = xi[:, j]
-        base = np.maximum(np.round(v / 4.0).astype(int), 0)
+        base = np.round(v / 4.0).astype(int)   # v >= 0, so base >= 0
         s = np.zeros(n)
         c = np.zeros(n)
-        seen = []
         for off in (-1, 0, 1):
-            k = np.maximum(base + off, 0)
-            dup = np.zeros(n, dtype=bool)
-            for prev in seen:
-                dup |= k == prev
-            seen.append(k)
+            k = base + off
             vals = np.where(k == 0, gstar(v), gstar(v - 4 * k) + gstar(v + 4 * k))
-            vals = np.where(dup, 0.0, vals)
+            vals = np.where(k < 0, 0.0, vals)
             s += vals
-            c += (vals > 0) & ~dup
+            c += vals > 0
         total *= s
         counts *= c
     return total, counts.astype(int)
@@ -130,19 +125,9 @@ class SpherePatch:
     center: np.ndarray  # center of the positive-representative cube
 
     @property
-    def anchor_direction(self):
-        return anchor_directions(self.center)
-
-    @property
     def offsets(self):
         """Cube-pair shifts 4 k_j s_j, in the scaled coordinates xi = 6 u / h."""
         return 4.0 * np.asarray(self.index) * np.asarray(self.signs)
-
-    def bump(self, u):
-        """Even bump supported on the cube pair, evaluated at directions u."""
-        u = np.atleast_2d(np.asarray(u, dtype=float))
-        out = cube_pair_bump(u, self.h, self.offsets)
-        return out if len(out) != 1 else float(out[0])
 
 
 def anchor_directions(centers):

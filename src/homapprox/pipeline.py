@@ -115,16 +115,17 @@ def _weierstrass_fit(body, f, m):
     return parts, resid
 
 
-def approximate_theorem1(body, f, n, m=8):
-    """Geometric route: Weierstrass stage + unity multipliers per graded part."""
-    m_cap = min(24, 2 * (n - 4))
-    if m > m_cap:
-        raise ValueError(f"initial Weierstrass degree {m} exceeds cap {m_cap}")
+def approximate_theorem1(body, f, n):
+    """Geometric route: Weierstrass stage + unity multipliers per graded part.
+
+    The Weierstrass degree starts at 8 and steps by 2, to min(24, 2(n - 4)).
+    """
+    if n < 8:
+        raise ValueError("n must be at least 8")
+    m = 8
     parts, resid = _weierstrass_fit(body, f, m)
-    steps = 0
-    while resid > _WEIERSTRASS_TOL and m + 2 <= m_cap:
+    while resid > _WEIERSTRASS_TOL and m + 2 <= min(24, 2 * (n - 4)):
         m += 2
-        steps += 1
         parts, resid = _weierstrass_fit(body, f, m)
     if resid > _WEIERSTRASS_TOL:
         raise EscalationError(
@@ -157,7 +158,7 @@ def approximate_theorem1(body, f, n, m=8):
     report.extras["weierstrass_degree"] = m
     report.extras["weierstrass_sup_error"] = resid
     report.extras["unity_triangle_bound"] = bound
-    report.extras["weierstrass_steps"] = steps
+    report.extras["weierstrass_steps"] = (m - 8) // 2
     report.extras["unity_cache_hits"] = len(parts) - len(unity)
     report.extras["unity_meshes"] = len({mesh_size(n_u) for n_u in ns})
     return HomPair(h_even=h_even, h_odd=h_odd, route="geometric",

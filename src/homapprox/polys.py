@@ -188,11 +188,11 @@ def cheb_nodes(n):
     return np.cos((np.arange(n) + 0.5) * np.pi / n)
 
 
-def cheb_coeffs(vals, axis=-1):
+def cheb_coeffs(vals):
     """Chebyshev coefficients of the interpolant through values at
-    cheb_nodes(n) along `axis`: a DCT-II divided by n, first one halved."""
-    c = dct(vals, type=2, axis=axis) / np.shape(vals)[axis]
-    np.moveaxis(c, axis, 0)[0] *= 0.5
+    cheb_nodes(n) along the last axis: a DCT-II divided by n, first halved."""
+    c = dct(vals, type=2) / np.shape(vals)[-1]
+    c[..., 0] *= 0.5
     return c
 
 

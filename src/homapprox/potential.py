@@ -121,20 +121,13 @@ def check_weight(w):
         phi1 = 1.0 / w.W(ts)
 
     # |t| / W(-1/t); the value at t = 0 is the limit 1/rho
-    rho = w.rho
     phi2 = np.empty_like(ts)
     nz = ts != 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         phi2[nz] = np.abs(ts[nz]) / w.W(-1.0 / ts[nz])
-    if np.isinf(rho):
-        at0 = 0.0
-    elif rho == 0.0:
-        at0 = np.inf
-    else:
-        at0 = 1.0 / rho
-    phi2[~nz] = at0
+        phi2[~nz] = np.divide(1.0, w.rho)
     return WeightDiagnostics(cond1_ok=_convexity_scan(phi1, tol),
-                             cond2_ok=_convexity_scan(phi2, tol), rho=rho)
+                             cond2_ok=_convexity_scan(phi2, tol), rho=w.rho)
 
 
 # ------------------------------------------------------------------ MRS support

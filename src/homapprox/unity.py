@@ -20,8 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedBodyError
-from .partition import (SpherePatch, anchor_directions, cube_pair_bump,
-                        sphere_patches)
+from .partition import anchor_directions, cube_pair_bump, sphere_patches
 from .polys import HomogeneousPoly, _lift_graded, _times_form, cheb_nodes
 from .report import ApproxReport
 
@@ -96,34 +95,31 @@ def _lift_cheb(cs, w, e, lo, hi, targets):
     return out
 
 
-def _support_window(patch, w, e):
-    """(a, b) such that the patch's bump vanishes on {<x,w> = 1} off s in (a, b).
+def _support_window(patches, w, e):
+    """Arrays (a, b) such that the bump of patches[i] vanishes on the line
+    {<x,w[i]> = 1} off s in (a[i], b[i]).
 
     The bump is nonzero only at directions inside its open cube pair.  A
     direction v with <v,w> > 0 meets the line at s = <v,e>/<v,w>, so a cube's
     cone meets it in the s-interval spanned by the cube's corners.  A cube
     with no corner on the line's side misses it (a patch whose cubes both
     miss gets the empty window (inf, -inf)); one straddling <x,w> = 0 gets
-    the whole line.  For a list of patches, with one row of w and e each, a
-    and b are arrays; one patch is the one-row case.
+    the whole line.
     """
-    group = not isinstance(patch, SpherePatch)
-    patches = patch if group else [patch]
     center = np.array([p.center for p in patches])
     half = np.array([p.h for p in patches])[:, None, None] / 2
     corners = center[:, None, :] + half * _CUBE_CORNERS
     v = np.stack([corners, -corners], axis=1)      # (patches, cube, corner, 2)
-    w = np.reshape(w, (-1, 1, 1, 2))
-    vw = np.vecdot(v, w)
+    vw = np.vecdot(v, w[:, None, None, :])
     ahead = vw > 0
-    s = np.divide(np.vecdot(v, np.reshape(e, (-1, 1, 1, 2))), vw,
+    s = np.divide(np.vecdot(v, e[:, None, None, :]), vw,
                   out=np.zeros_like(vw), where=ahead)
     meets = ahead.any(axis=2, keepdims=True)
     a = np.where(meets, s, np.inf).min(axis=(1, 2))
     b = np.where(meets, s, -np.inf).max(axis=(1, 2))
     straddles = (meets & ~ahead).any(axis=(1, 2))
     a[straddles], b[straddles] = -np.inf, np.inf
-    return (a, b) if group else (a[0], b[0])
+    return a, b
 
 
 def _window_coeffs(vals, start, stop, terms):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from homapprox import HomogeneousPoly
+from homapprox import ConvexBody, HomogeneousPoly, approximate_unity
 from homapprox.cli import main, run
 from homapprox.errors import ConfigError
 
@@ -166,6 +166,59 @@ def test_approx_run(tmp_path):
     assert np.max(np.abs(he(pts) + ho(pts) - approx_col)) < 1e-10 * scale
 
 
+def test_approx_geometric_route_run(tmp_path):
+    """route "geometric" runs the Weierstrass-times-unity route, and its
+    artifacts are byte-identical across reruns."""
+    cfg = {"body": {"type": "disk"}, "f": "exp(x)", "n": 16,
+           "route": "geometric"}
+    outs = []
+    for tag in ("a", "b"):
+        out = tmp_path / tag
+        assert main(["approx", "--config",
+                     write_cfg(tmp_path, cfg, f"{tag}.json"),
+                     "--out", str(out)]) == 0
+        outs.append(out)
+    data = json.loads((outs[0] / "pair.json").read_text())
+    assert data["route"] == "geometric"
+    assert data["report"]["weierstrass_degree"] >= 8
+    for name in ("pair.json", "residuals.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def test_unity_on_radial_samples_body(tmp_path):
+    """A radial-samples body from the config is the body radial_samples
+    builds: its unity polynomial is the in-process one, coefficient for
+    coefficient."""
+    th = np.linspace(0, np.pi, 16, endpoint=False)
+    r = 1 + 0.1 * np.cos(2 * th)
+    cfg = write_cfg(tmp_path, {"body": {"type": "radial-samples",
+                                        "angles": th.tolist(),
+                                        "radii": r.tolist()}, "n": 16})
+    out = tmp_path / "u"
+    assert main(["unity", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "unity.json").read_text())
+    hp = approximate_unity(ConvexBody.radial_samples(th, r), 8)
+    assert data["polynomial"] == hp.to_json_obj()
+    assert data["report"]["sup_error"] < 0.2
+
+
+@pytest.mark.parametrize("weight, ok, rho", [
+    ({"type": "power", "m": 2}, True, 1.0),
+    ({"type": "expr", "w": "1/sqrt(1+t^2)"}, True, 1.0),
+    ({"type": "expr", "w": "exp(-t^2)"}, False, 0.0),
+], ids=["power-2", "expr-disk", "expr-gauss"])
+def test_check_weight_of_power_and_expr_weights(tmp_path, weight, ok, rho):
+    """The disk's weight (1 + t^2)^(-1/2), as the power family m = 2 or as
+    an expression, passes both conditions with rho = 1; exp(-t^2), whose
+    |t| W(t) vanishes at infinity, fails the second with rho = 0."""
+    out = tmp_path / "cw"
+    cfg = write_cfg(tmp_path, {"weight": weight})
+    assert main(["check-weight", "--config", cfg, "--out", str(out)]) == 0
+    data = json.loads((out / "weight.json").read_text())
+    assert (data["ok"], data["cond1_ok"], data["cond2_ok"]) == (ok, True, ok)
+    assert data["rho"] == pytest.approx(rho, abs=1e-12)
+
+
 def test_partition_diag_and_check_weight(tmp_path):
     cfg = write_cfg(tmp_path, {"d": 2, "h": 0.5, "samples": 2000})
     out = tmp_path / "pd"
@@ -196,9 +249,16 @@ def test_partition_diag_and_check_weight(tmp_path):
      "n_list"),
     ("wapprox", {"body": {"type": "disk"}, "f": "1/(1+t^2)",
                  "n_list": [4, 2, 4]}, "n_list/2"),
+    ("approx", {"body": {"type": "disk"}, "f": "x", "n": 6,
+                "route": "geometric"}, "n"),
+    ("approx", {"body": {"type": "square"}, "f": "x", "n": 16,
+                "route": "geometric"}, "route"),
+    ("check-weight", {"weight": {"type": "power", "m": 0}}, "weight/m"),
+    ("check-weight", {"weight": {"type": "expr", "w": "1/("}}, "weight/w"),
 ], ids=["unity-h-0", "unity-h-1.5", "partition-h-1.5", "samples-0",
         "samples-negative", "grid-0", "grid-negative", "n_list-empty",
-        "n_list-repeated"])
+        "n_list-repeated", "geometric-n-6", "geometric-square", "power-m-0",
+        "expr-w-unparsable"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, sub, obj, key):
     out = tmp_path / "o"
     rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])

@@ -77,28 +77,29 @@ def test_theorem1_constant_matches_unity_error():
 
 def test_theorem1_triangle_bound_holds():
     f = lambda p: p[:, 0] ** 2 - p[:, 1] ** 2
-    pair = approximate_theorem1(ConvexBody.disk(), f, 16, m=2)
+    pair = approximate_theorem1(ConvexBody.disk(), f, 16)
     rep = pair.report
     assert rep.sup_error <= rep.extras["unity_triangle_bound"] \
         + rep.extras["weierstrass_sup_error"] + 1e-9
 
 
 def test_theorem1_escalation_error():
+    # at n = 8 the Weierstrass degree is capped at its start, 8
     with pytest.raises(EscalationError) as ei:
-        approximate_theorem1(ConvexBody.disk(), f_absx, 5, m=2)
+        approximate_theorem1(ConvexBody.disk(), f_absx, 8)
     assert ei.value.achieved > 0
 
 
 def test_theorem1_m_cap_guard():
-    with pytest.raises(ValueError):
-        approximate_theorem1(ConvexBody.disk(), f_one, 5, m=10)
+    with pytest.raises(ValueError, match="at least 8"):
+        approximate_theorem1(ConvexBody.disk(), f_one, 7)
 
 
 def test_routes_agree_on_smooth_problem():
     body = ConvexBody.disk()
     f = lambda p: p[:, 0] ** 2 + 2 * p[:, 1] ** 2
     planar = approximate_theorem2(body, f, 16)
-    geometric = approximate_theorem1(body, f, 16, m=2)
+    geometric = approximate_theorem1(body, f, 16)
     assert planar.report.sup_error < 1e-2
     assert geometric.report.sup_error < 5e-2
 
@@ -176,9 +177,12 @@ def test_exact_pair_takes_one_lp_solve():
     assert pair.report.extras["lp_rows"] == 2 * 2 * (4 * 18 + 1)
 
 
-@pytest.mark.parametrize("m0", [8, 2])
-def test_theorem1_run_counters(monkeypatch, m0):
-    """weierstrass_steps counts the +2 escalations past the initial m,
+@pytest.mark.parametrize("f, steps", [
+    (lambda p: np.exp(p[:, 0]), 0),
+    (lambda p: np.cos(3 * p[:, 0]), 2),
+], ids=["exp-x", "cos-3x"])
+def test_theorem1_run_counters(monkeypatch, f, steps):
+    """weierstrass_steps counts the +2 escalations past the initial degree 8,
     unity_cache_hits the graded parts whose multiplier another part already
     took, and unity_meshes the batched multiplier builds, one per mesh."""
     from homapprox import unity
@@ -188,11 +192,10 @@ def test_theorem1_run_counters(monkeypatch, m0):
                         lambda body, patches, targets, radius:
                         calls.append([t // 2 for t in targets])
                         or fit(body, patches, targets, radius))
-    f = lambda p: np.exp(p[:, 0])
-    pair = approximate_theorem1(ConvexBody.ellipse(2.0, 1.0), f, 16, m=m0)
+    pair = approximate_theorem1(ConvexBody.ellipse(2.0, 1.0), f, 16)
     ex = pair.report.extras
     m = ex["weierstrass_degree"]
-    assert ex["weierstrass_steps"] == (m - m0) // 2
+    assert ex["weierstrass_steps"] == steps == (m - 8) // 2
     # parts of degree 0..m need the multipliers n - deg // 2: m // 2 + 1 of
     # them, each on its own mesh at n = 16
     built = [n for group in calls for n in group]

@@ -182,7 +182,8 @@ def test_homogenize_even_rejections():
 @settings(max_examples=40, deadline=None)
 def test_cheb_coeffs_inverts_chebval_at_nodes(n, seed):
     """Values of a degree < n Chebyshev sum at the n nodes give back its
-    coefficients, alone and along either axis of a batch of differing scales."""
+    coefficients, alone and along the last axis of a batch of differing
+    scales."""
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-3, 3, (3, 1))
     u = cheb_nodes(n)
@@ -191,9 +192,9 @@ def test_cheb_coeffs_inverts_chebval_at_nodes(n, seed):
     got = cheb_coeffs(np.polynomial.chebyshev.chebval(u, c[0]))
     assert np.max(np.abs(got - c[0])) <= 1e-13 * scale[0]
     vals = np.polynomial.chebyshev.chebval(u, c.T)
-    for got in (cheb_coeffs(vals, axis=1), cheb_coeffs(vals.T, axis=0).T):
-        assert got.shape == c.shape
-        assert np.all(np.max(np.abs(got - c), axis=1) <= 1e-13 * scale)
+    got = cheb_coeffs(vals)
+    assert got.shape == c.shape
+    assert np.all(np.max(np.abs(got - c), axis=1) <= 1e-13 * scale)
 
 
 def test_growth_bound_values():

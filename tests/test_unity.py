@@ -9,7 +9,8 @@ from homapprox import (ConvexBody, HomogeneousPoly, approximate_theorem1,
                        approximate_unity, mesh_size, unity_error_report,
                        linear_form_power, UnsupportedBodyError)
 from homapprox import unity
-from homapprox.partition import sphere_patches
+from homapprox.partition import (anchor_directions, cube_pair_bump,
+                                 sphere_patches)
 from homapprox.polys import cheb_coeffs, cheb_nodes
 from homapprox.unity import (_lift_cheb, _patch_coeffs, _support_window,
                              approximate_unities)
@@ -158,7 +159,7 @@ _FIT_BODIES = {
 
 def _line(body, patch, radius):
     """The supporting line of a patch: w, e, foot, lo, hi."""
-    u = patch.anchor_direction
+    u = anchor_directions(patch.center)
     p_bd = u / body.gauge(u[None, :])[0]
     line = body.support_line(p_bd)
     e = line.tangent_frame()
@@ -172,7 +173,7 @@ def _full_line_bump(body, patch, radius):
     ss = lo + (hi - lo) * (cheb_nodes(unity._FIT_NODES) + 1) / 2
     x = x_c[None, :] + ss[:, None] * e[None, :]
     r = np.linalg.norm(x, axis=1)
-    return ss, x, np.atleast_1d(patch.bump(x / r[:, None]))
+    return ss, x, cube_pair_bump(x / r[:, None], patch.h, patch.offsets)
 
 
 # cos(m pi / 2N) in long double, m < 4N: the cosines of a DCT-II of N nodes
@@ -247,7 +248,7 @@ def test_window_coeffs_match_dense_transform():
     c = unity._window_coeffs(vals, start, stop, terms)
     assert c.shape == (len(start), terms)
     assert not c[5].any()
-    ref = cheb_coeffs(dense, axis=1)[:, :terms]
+    ref = cheb_coeffs(dense)[:, :terms]
     for i in range(len(start)):
         _assert_cheb_close(c[i], dense[i], ref[i])
 
@@ -288,13 +289,14 @@ def test_support_window_holds_every_nonzero_node(name, h, pick, own_line,
         ss, _, bump = _full_line_bump(body, patch, radius)
     else:
         c, s = np.cos(turn), np.sin(turn)
-        u = patch.anchor_direction
+        u = anchor_directions(patch.center)
         w = sign * scale * np.array([c * u[0] - s * u[1], s * u[0] + c * u[1]])
         e = np.array([-w[1], w[0]]) / scale
         ss = np.tan(np.linspace(-1.5, 1.5, 20001)) / scale
         x = w[None, :] / scale ** 2 + ss[:, None] * e[None, :]
-        bump = np.atleast_1d(patch.bump(x / np.linalg.norm(x, axis=1)[:, None]))
-    a, b = _support_window(patch, w, e)
+        bump = cube_pair_bump(x / np.linalg.norm(x, axis=1)[:, None], patch.h,
+                              patch.offsets)
+    (a,), (b,) = _support_window([patch], w[None, :], e[None, :])
     inside = ss[bump > 0]
     assert np.all((a <= inside) & (inside <= b))
 
