@@ -12,7 +12,7 @@ from .polys import (
 )
 from .partition import (
     gstar, g_odd, g_1d, g_k, active_indices, partition_sum_and_overlap,
-    sphere_patches, SpherePatch,
+    sphere_patches,
 )
 from .potential import (
     Weight, check_weight, mrs_support, density, EquilibriumMeasure,
@@ -35,7 +35,7 @@ __all__ = [
     "HomogeneousPoly", "linear_form_power", "homogenize_even",
     "growth_bound", "growth_bound_check",
     "gstar", "g_odd", "g_1d", "g_k", "active_indices",
-    "partition_sum_and_overlap", "sphere_patches", "SpherePatch",
+    "partition_sum_and_overlap", "sphere_patches",
     "Weight", "check_weight", "mrs_support", "density",
     "EquilibriumMeasure", "equilibrium_check",
     "ApproxReport",

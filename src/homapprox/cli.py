@@ -29,7 +29,8 @@ from .pipeline import approximate_theorem1, approximate_theorem2
 from .potential import (Weight, check_weight, mrs_support, density,
                         equilibrium_check)
 from .unity import approximate_unity, unity_error_report
-from .weighted_approx import CompactifiedFunction, weighted_minimax
+from .weighted_approx import (CompactifiedFunction, weighted_minimax,
+                              _DEGREE_CAP)
 
 _FLOAT = "{:.17g}".format
 _RESIDUAL_ROWS = 512   # equally spaced boundary angles of residuals.csv
@@ -188,10 +189,9 @@ def _run_approx(cfg, out):
     n = _require(cfg, "n", int)
     if n < 5:
         raise ConfigError("n must be at least 5", pointer="/n")
-    route = cfg.get("route", "auto")
-    if route not in ("auto", "geometric", "planar"):
-        raise ConfigError("route must be auto|geometric|planar",
-                          pointer="/route")
+    route = cfg.get("route", "planar")
+    if route not in ("geometric", "planar"):
+        raise ConfigError("route must be geometric|planar", pointer="/route")
     if route == "geometric":
         if n < 8:
             raise ConfigError("the geometric route needs n at least 8",
@@ -201,6 +201,9 @@ def _run_approx(cfg, out):
                               pointer="/route")
         pair = approximate_theorem1(body, f, n)
     else:
+        if n > _DEGREE_CAP:
+            raise ConfigError(f"the planar route needs n at most {_DEGREE_CAP}",
+                              pointer="/n")
         pair = approximate_theorem2(body, f, n)
     _write_json(os.path.join(out, "pair.json"), _pair_json(pair))
     _write_csv(os.path.join(out, "residuals.csv"), _RESIDUAL_HEADER,
@@ -270,6 +273,9 @@ def _run_wapprox(cfg, out):
         _check_type(n, int, f"/n_list/{i}")
         if n < 0 or n % 2 != 0:
             raise ConfigError("degrees must be even and nonnegative",
+                              pointer=f"/n_list/{i}")
+        if n > _DEGREE_CAP:
+            raise ConfigError(f"degrees must be at most {_DEGREE_CAP}",
                               pointer=f"/n_list/{i}")
         if n in n_list[:i]:
             raise ConfigError(f"degree {n} is repeated", pointer=f"/n_list/{i}")

@@ -125,6 +125,10 @@ class ConvexBody:
         if not 1 <= p < np.inf:
             raise ValueError("pnorm ball needs finite p >= 1")
         axes = _lengths(semi_axes, 2, "pnorm semi-axes")
+        if p == 1:
+            # the diamond: a polygon, so its vertices are its corners
+            a, b = axes
+            return cls.polygon([(a, 0), (0, b), (-a, 0), (0, -b)])
         return cls("pnorm", {"p": float(p), "axes": axes})
 
     @classmethod

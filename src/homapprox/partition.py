@@ -11,7 +11,6 @@ pairs for the supporting-hyperplane construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +41,9 @@ def gstar(x):
 
 
 def g_1d(k, x):
-    """1-D partition member: g*(x) for k = 0, else g*(x-4k) + g*(x+4k)."""
-    if k == 0:
-        return gstar(x)
-    return gstar(x - 4 * k) + gstar(x + 4 * k)
+    """1-D partition member: g*(x) for k = 0, else g*(x-4k) + g*(x+4k);
+    k is one index or one per point."""
+    return np.where(k == 0, gstar(x), gstar(x - 4 * k) + gstar(x + 4 * k))
 
 
 def g_k(k, h, x):
@@ -106,28 +104,12 @@ def partition_sum_and_overlap(points, h):
         c = np.zeros(n)
         for off in (-1, 0, 1):
             k = base + off
-            vals = np.where(k == 0, gstar(v), gstar(v - 4 * k) + gstar(v + 4 * k))
-            vals = np.where(k < 0, 0.0, vals)
+            vals = np.where(k < 0, 0.0, g_1d(k, v))
             s += vals
             c += vals > 0
         total *= s
         counts *= c
     return total, counts.astype(int)
-
-
-@dataclass(frozen=True)
-class SpherePatch:
-    """One antipodal cube pair of a bump; anchors the hyperplane patch."""
-
-    index: tuple
-    signs: tuple
-    h: float
-    center: np.ndarray  # center of the positive-representative cube
-
-    @property
-    def offsets(self):
-        """Cube-pair shifts 4 k_j s_j, in the scaled coordinates xi = 6 u / h."""
-        return 4.0 * np.asarray(self.index) * np.asarray(self.signs)
 
 
 def anchor_directions(centers):
@@ -140,10 +122,9 @@ def anchor_directions(centers):
 def cube_pair_bump(u, h, offsets):
     """prod_j g*(xi_j - o_j) + prod_j g*(xi_j + o_j) with xi = 6 u / h.
 
-    The even bump of a `SpherePatch` at directions u (points, d).  h and the
-    offsets o (`SpherePatch.offsets`) are either one patch's or given per
-    point, as an (points, 1) column and a (points, d) array, so the bumps of
-    many patches evaluate in one pass.
+    The even bump of a patch of `sphere_patches(h, d)` at directions u
+    (points, d).  The offsets o are one patch's row, or one row per point, so
+    the bumps of many patches of one mesh evaluate in one pass.
     """
     xi = 6.0 * u / h
     pos = np.ones(u.shape[0])
@@ -155,21 +136,23 @@ def cube_pair_bump(u, h, offsets):
 
 
 def sphere_patches(h, d):
-    """Antipodal-pair patches covering the unit sphere for mesh size h."""
-    patches = []
+    """Antipodal-pair patches covering the unit sphere for mesh size h.
+
+    Returns the (patches, d) array of their cube-pair shifts 4 k_j s_j, in
+    the scaled coordinates xi = 6 u / h, for each active multi-index k and
+    sign pattern s.  A patch's positive cube is centered at its row * h / 6.
+    """
+    offsets = []
     for k in active_indices(h, d):
         nz = [j for j, kj in enumerate(k) if kj > 0]
         if not nz:
             # the all-zero cube [-h/2, h/2]^d cannot reach the sphere for h <= 1
             raise AssertionError("zero multi-index unexpectedly active")
         # sign patterns modulo a global flip: first nonzero coordinate fixed +
+        # (a zero k_j shifts by 0 whatever its sign)
         for tail in itertools.product((1, -1), repeat=len(nz) - 1):
-            signs = [0] * d
-            signs[nz[0]] = 1
-            for j, s in zip(nz[1:], tail):
-                signs[j] = s
-            center = np.array([signs[j] * 4 * k[j] * h / 6.0 for j in range(d)])
-            patches.append(SpherePatch(index=tuple(k), signs=tuple(signs), h=h,
-                                       center=center))
-    return patches
+            signs = np.ones(d, dtype=int)
+            signs[nz[1:]] = tail
+            offsets.append(4 * np.array(k) * signs)
+    return np.array(offsets, dtype=float)
 

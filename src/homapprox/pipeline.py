@@ -138,18 +138,15 @@ def approximate_theorem1(body, f, n):
     unity = {n_u: (u, float(np.max(np.abs(1.0 - u(pts)))))
              for n_u, u in zip(ns, approximate_unities(body, ns))}
 
-    h_even = HomogeneousPoly.zero(2, 2 * n)
-    h_odd = HomogeneousPoly.zero(2, 2 * n + 1)
+    # every even part lifts to degree 2n, every odd one to 2n + 1
+    sums = [np.zeros(2 * n + 1), np.zeros(2 * n + 2)]
     bound = 0.0
     for deg, part in enumerate(parts):
         hj = HomogeneousPoly.from_vector(part[:deg + 1])
         u, uerr = unity[n - deg // 2]
-        lifted = hj.multiply(u)
-        if deg % 2 == 0:
-            h_even = h_even.add(lifted)
-        else:
-            h_odd = h_odd.add(lifted)
+        sums[deg % 2] += hj.multiply(u).vec
         bound += float(np.max(np.abs(hj(pts)))) * uerr
+    h_even, h_odd = map(HomogeneousPoly.from_vector, sums)
 
     def pair_eval(pts):
         return h_even(pts) + h_odd(pts)

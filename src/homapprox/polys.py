@@ -85,11 +85,6 @@ class HomogeneousPoly:
             out += a * yk
         return out if len(out) != 1 else float(out[0])
 
-    def add(self, other):
-        if other.degree != self.degree:
-            raise DimensionError("mismatched degree")
-        return HomogeneousPoly.from_vector(self.vec + other.vec)
-
     def scale(self, a):
         return HomogeneousPoly.from_vector(a * self.vec)
 
@@ -104,10 +99,6 @@ class HomogeneousPoly:
     def from_json_obj(cls, dim, degree, obj):
         return cls(dim, degree,
                    {tuple(e["exponents"]): e["coeff"] for e in obj})
-
-    @classmethod
-    def zero(cls, dim, degree):
-        return cls(dim, degree)
 
 
 def linear_form_power(w, n):

@@ -251,6 +251,8 @@ class EquilibriumMeasure:
         return out
 
     def mass(self):
+        """Total mass of the density.  It is 1 by construction for any
+        support, so it does not certify the support; `mrs_support` does."""
         xi = cheb_nodes(4000)
         return float(self.half * np.mean(1.0 / self.half - self.lam * self._S(xi)))
 
@@ -293,7 +295,12 @@ def density(w, lam, support):
 
 
 def equilibrium_check(em):
-    """Max deviation of int log|t-x| V dt - lam*Q(x) from its fitted constant."""
+    """Max deviation of int log|t-x| V dt - lam*Q(x) from its fitted constant.
+
+    The density solves this identity on whatever support it is given, so the
+    deviation is at rounding level on a wrong support too: it checks the
+    density's construction, not the support, which `mrs_support` certifies.
+    """
     xs = em.mid + em.half * np.cos(np.linspace(0.05, np.pi - 0.05, 401))
     dev = em.log_integral(xs) - em.lam * em.weight.Q(xs)
     return float(np.max(np.abs(dev - np.mean(dev))))

@@ -95,9 +95,10 @@ def _lift_cheb(cs, w, e, lo, hi, targets):
     return out
 
 
-def _support_window(patches, w, e):
-    """Arrays (a, b) such that the bump of patches[i] vanishes on the line
-    {<x,w[i]> = 1} off s in (a[i], b[i]).
+def _support_window(center, h, w, e):
+    """Arrays (a, b) such that the bump of the patch whose positive cube of
+    side h is centered at center[i] vanishes on the line {<x,w[i]> = 1} off
+    s in (a[i], b[i]).
 
     The bump is nonzero only at directions inside its open cube pair.  A
     direction v with <v,w> > 0 meets the line at s = <v,e>/<v,w>, so a cube's
@@ -106,9 +107,7 @@ def _support_window(patches, w, e):
     miss gets the empty window (inf, -inf)); one straddling <x,w> = 0 gets
     the whole line.
     """
-    center = np.array([p.center for p in patches])
-    half = np.array([p.h for p in patches])[:, None, None] / 2
-    corners = center[:, None, :] + half * _CUBE_CORNERS
+    corners = center[:, None, :] + h / 2 * _CUBE_CORNERS
     v = np.stack([corners, -corners], axis=1)      # (patches, cube, corner, 2)
     vw = np.vecdot(v, w[:, None, None, :])
     ahead = vw > 0
@@ -148,9 +147,10 @@ def _window_coeffs(vals, start, stop, terms):
     return out
 
 
-def _patch_coeffs(body, patches, targets, radius):
+def _patch_coeffs(body, offsets, h, targets, radius):
     """Truncated Chebyshev series of each ray-corrected bump on its line.
 
+    The patches are the rows of offsets, `sphere_patches` of mesh h.
     Returns (cs, w, e, lo, hi): one (patches, T + 1) coefficient array in cs
     per target T, and one row per patch of the rest.  The line geometry of
     all patches is one batch.  A bump is evaluated only at the fit nodes
@@ -161,14 +161,14 @@ def _patch_coeffs(body, patches, targets, radius):
     nodes.  The window nodes, their bump values and their gauge values are
     computed once for all targets, and each target sums bump * gauge^T.
     """
-    center = np.array([p.center for p in patches])
+    center = offsets * h / 6
     u = anchor_directions(center)
     p_bd = u / body.gauge(u)[:, None]
     line = body.support_line(p_bd)
     w, e = line.normal, line.tangent_frame()
     s_k = np.vecdot(p_bd, e)
     lo, hi = s_k - radius, s_k + radius
-    a, b = _support_window(patches, w, e)
+    a, b = _support_window(center, h, w, e)
     # node k is in the window if a - margin <= lo + (hi - lo) _FIT_T[k] <=
     # b + margin, and _FIT_T falls with k
     margin = _WINDOW_MARGIN * (hi - lo)
@@ -180,15 +180,13 @@ def _patch_coeffs(body, patches, targets, radius):
     # the window nodes of all patches, one patch after the other: patch
     # rows[i], node cols[i]
     count = stop - start
-    rows = np.repeat(np.arange(len(patches)), count)
+    rows = np.repeat(np.arange(len(offsets)), count)
     begin = np.cumsum(count) - count
     cols = np.arange(count.sum()) + np.repeat(start - begin, count)
     ss = lo[rows] + (hi - lo)[rows] * _FIT_T[cols]
     x = line.foot()[rows] + ss[:, None] * e[rows]
     r = np.linalg.norm(x, axis=1)
-    h = np.array([p.h for p in patches])[rows, None]
-    offsets = np.array([p.offsets for p in patches])[rows]
-    bump = cube_pair_bump(x / r[:, None], h, offsets)
+    bump = cube_pair_bump(x / r[:, None], h, offsets[rows])
     nz = bump > 0
     gauge = np.zeros(len(bump))
     gauge[nz] = body.gauge(x[nz])
@@ -216,7 +214,7 @@ def approximate_unities(body, ns, h=None):
     out = [None] * len(ns)
     for mesh, idx in meshes.items():
         targets = [2 * ns[i] for i in idx]
-        cs, w, e, lo, hi = _patch_coeffs(body, sphere_patches(mesh, 2),
+        cs, w, e, lo, hi = _patch_coeffs(body, sphere_patches(mesh, 2), mesh,
                                          targets, radius)
         for i, rows in zip(idx, _lift_cheb(cs, w, e, lo, hi, targets)):
             out[i] = HomogeneousPoly.from_vector(rows.sum(axis=0))

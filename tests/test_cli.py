@@ -253,11 +253,17 @@ def test_partition_diag_and_check_weight(tmp_path):
                 "route": "geometric"}, "n"),
     ("approx", {"body": {"type": "square"}, "f": "x", "n": 16,
                 "route": "geometric"}, "route"),
+    ("approx", {"body": {"type": "disk"}, "f": "x", "n": 9, "route": "auto"},
+     "route"),
+    ("approx", {"body": {"type": "disk"}, "f": "x", "n": 129}, "n"),
+    ("wapprox", {"body": {"type": "disk"}, "f": "1/(1+t^2)",
+                 "n_list": [2, 130]}, "n_list/1"),
     ("check-weight", {"weight": {"type": "power", "m": 0}}, "weight/m"),
     ("check-weight", {"weight": {"type": "expr", "w": "1/("}}, "weight/w"),
 ], ids=["unity-h-0", "unity-h-1.5", "partition-h-1.5", "samples-0",
         "samples-negative", "grid-0", "grid-negative", "n_list-empty",
-        "n_list-repeated", "geometric-n-6", "geometric-square", "power-m-0",
+        "n_list-repeated", "geometric-n-6", "geometric-square", "route-auto",
+        "planar-n-above-cap", "n_list-above-cap", "power-m-0",
         "expr-w-unparsable"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, sub, obj, key):
     out = tmp_path / "o"

@@ -280,6 +280,7 @@ def test_weight_rho_kinks_and_provenance():
         (ConvexBody.disk(2.0), 2.0, ()),
         (ConvexBody.ellipse(1.0, 3.0), 3.0, ()),
         (ConvexBody.pnorm_ball(4.0, (2.0, 0.5)), 0.5, ()),
+        (ConvexBody.pnorm_ball(1.0, (2.0, 0.5)), 0.5, (0.0,)),
         (ConvexBody.square(0.5), 0.5, (-1.0, 1.0)),
         (hexagon, 1.5, (-1.0, 0.5)),
         (radial, float(radial.params["interp"](np.pi / 2)), ()),

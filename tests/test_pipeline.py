@@ -151,6 +151,20 @@ def test_square_report_covers_vertices():
     assert pair.report.sup_error >= abs(f_absx(corner)[0] - pair(corner))
 
 
+def test_diamond_pair_is_its_polygon_twins():
+    """The p = 1 ball is the polygon of its vertices: its corners are set, so
+    its planar pair is solved and reported at them, bit for bit the twin's."""
+    diamond = ConvexBody.pnorm_ball(1.0, (2.0, 0.5))
+    twin = ConvexBody.polygon([(2.0, 0.0), (0.0, 0.5), (-2.0, 0.0),
+                               (0.0, -0.5)])
+    assert np.array_equal(diamond.corners(), twin.corners())
+    pair = approximate_theorem2(diamond, f_expcos, 32)
+    ref = approximate_theorem2(twin, f_expcos, 32)
+    assert np.array_equal(pair.h_even.vec, ref.h_even.vec)
+    assert np.array_equal(pair.h_odd.vec, ref.h_odd.vec)
+    assert pair.report.to_json_obj() == ref.report.to_json_obj()
+
+
 def test_pair_call_takes_what_homogeneous_poly_takes():
     """On both routes pair(x) reads one point as a 1-D array or a (1, 2)
     array and returns a float for it, an array for zero or more rows, and
@@ -189,9 +203,9 @@ def test_theorem1_run_counters(monkeypatch, f, steps):
     calls = []
     fit = unity._patch_coeffs
     monkeypatch.setattr(unity, "_patch_coeffs",
-                        lambda body, patches, targets, radius:
+                        lambda body, offsets, h, targets, radius:
                         calls.append([t // 2 for t in targets])
-                        or fit(body, patches, targets, radius))
+                        or fit(body, offsets, h, targets, radius))
     pair = approximate_theorem1(ConvexBody.ellipse(2.0, 1.0), f, 16)
     ex = pair.report.extras
     m = ex["weierstrass_degree"]
@@ -228,8 +242,7 @@ def _theorem1_one_multiplier_at_a_time(body, f, n, m):
     from homapprox.pipeline import _weierstrass_fit
     parts, _ = _weierstrass_fit(body, f, m)
     pts = body.boundary_points(1000)
-    h_even = HomogeneousPoly.zero(2, 2 * n)
-    h_odd = HomogeneousPoly.zero(2, 2 * n + 1)
+    sums = [np.zeros(2 * n + 1), np.zeros(2 * n + 2)]
     cache, bound = {}, 0.0
     for deg, part in enumerate(parts):
         hj = HomogeneousPoly.from_vector(part[:deg + 1])
@@ -238,11 +251,9 @@ def _theorem1_one_multiplier_at_a_time(body, f, n, m):
             u = approximate_unity(body, n_u)
             cache[n_u] = (u, float(np.max(np.abs(1.0 - u(pts)))))
         u, uerr = cache[n_u]
-        if deg % 2 == 0:
-            h_even = h_even.add(hj.multiply(u))
-        else:
-            h_odd = h_odd.add(hj.multiply(u))
+        sums[deg % 2] += hj.multiply(u).vec
         bound += float(np.max(np.abs(hj(pts)))) * uerr
+    h_even, h_odd = map(HomogeneousPoly.from_vector, sums)
     return h_even, h_odd, bound
 
 

@@ -66,13 +66,13 @@ def test_error_report_exact_cases():
                                     for j in range(9)})
     rep = unity_error_report(body, exact)
     assert rep.sup_error < 1e-12
-    zero = HomogeneousPoly.zero(2, 16)
+    zero = HomogeneousPoly(2, 16)
     assert unity_error_report(body, zero).sup_error == pytest.approx(1.0)
 
 
 def test_error_report_rejects_odd_degree():
     with pytest.raises(ValueError):
-        unity_error_report(ConvexBody.disk(), HomogeneousPoly.zero(2, 3))
+        unity_error_report(ConvexBody.disk(), HomogeneousPoly(2, 3))
 
 
 def test_non_smooth_body_rejected():
@@ -157,9 +157,9 @@ _FIT_BODIES = {
 }
 
 
-def _line(body, patch, radius):
+def _line(body, offsets, h, radius):
     """The supporting line of a patch: w, e, foot, lo, hi."""
-    u = anchor_directions(patch.center)
+    u = anchor_directions(offsets * h / 6)
     p_bd = u / body.gauge(u[None, :])[0]
     line = body.support_line(p_bd)
     e = line.tangent_frame()
@@ -167,13 +167,13 @@ def _line(body, patch, radius):
     return line.normal, e, line.foot(), s_k - radius, s_k + radius
 
 
-def _full_line_bump(body, patch, radius):
+def _full_line_bump(body, offsets, h, radius):
     """The patch's bump at all fit nodes of its line, and the nodes' s."""
-    w, e, x_c, lo, hi = _line(body, patch, radius)
+    w, e, x_c, lo, hi = _line(body, offsets, h, radius)
     ss = lo + (hi - lo) * (cheb_nodes(unity._FIT_NODES) + 1) / 2
     x = x_c[None, :] + ss[:, None] * e[None, :]
     r = np.linalg.norm(x, axis=1)
-    return ss, x, cube_pair_bump(x / r[:, None], patch.h, patch.offsets)
+    return ss, x, cube_pair_bump(x / r[:, None], h, offsets)
 
 
 # cos(m pi / 2N) in long double, m < 4N: the cosines of a DCT-II of N nodes
@@ -212,13 +212,13 @@ def test_windowed_batch_fit_matches_full_line_fit(name, h):
     targets = [2 * n, 2 * n - 6, 2 * n - 2]
     radius = unity._FIT_RADIUS * body.delta()
     patches = sphere_patches(h, 2)
-    cs, w, e, lo, hi = _patch_coeffs(body, patches, targets, radius)
+    cs, w, e, lo, hi = _patch_coeffs(body, patches, h, targets, radius)
     assert [c.shape for c in cs] == [(len(patches), t + 1) for t in targets]
     # each target's coefficients are their own array, not a view of a
     # buffer shared by the targets
     assert all(c.base is None for c in cs)
-    for i, patch in enumerate(patches):
-        ss, x, b = _full_line_bump(body, patch, radius)
+    for i, offsets in enumerate(patches):
+        ss, x, b = _full_line_bump(body, offsets, h, radius)
         for c, target in zip(cs, targets):
             vals = np.zeros(len(ss))
             nz = b > 0
@@ -226,7 +226,7 @@ def test_windowed_batch_fit_matches_full_line_fit(name, h):
             ref = _ld_cheb_coeffs(vals, target + 1)
             _assert_cheb_close(c[i], vals, ref)
             _assert_cheb_close(cheb_coeffs(vals)[:target + 1], vals, ref)
-        w_i, e_i, _, lo_i, hi_i = _line(body, patch, radius)
+        w_i, e_i, _, lo_i, hi_i = _line(body, offsets, h, radius)
         assert np.array_equal(w[i], w_i) and np.array_equal(e[i], e_i)
         assert (lo[i], hi[i]) == (lo_i, hi_i)
 
@@ -260,9 +260,9 @@ def test_patch_coeffs_of_one_target_match_a_multi_target_call(name):
     body = _FIT_BODIES[name]()
     radius = unity._FIT_RADIUS * body.delta()
     patches = sphere_patches(0.1, 2)
-    many = _patch_coeffs(body, patches, [64, 128, 33], radius)
+    many = _patch_coeffs(body, patches, 0.1, [64, 128, 33], radius)
     for j, target in enumerate((64, 128, 33)):
-        one = _patch_coeffs(body, patches, [target], radius)
+        one = _patch_coeffs(body, patches, 0.1, [target], radius)
         assert np.array_equal(one[0][0], many[0][j]), target
         for a, b in zip(one[1:], many[1:]):
             assert np.array_equal(a, b)
@@ -282,21 +282,22 @@ def test_support_window_holds_every_nonzero_node(name, h, pick, own_line,
     """
     body = _FIT_BODIES[name]()
     patches = sphere_patches(h, 2)
-    patch = patches[pick % len(patches)]
+    offsets = patches[pick % len(patches)]
     if own_line:
         radius = unity._FIT_RADIUS * body.delta()
-        w, e = _line(body, patch, radius)[:2]
-        ss, _, bump = _full_line_bump(body, patch, radius)
+        w, e = _line(body, offsets, h, radius)[:2]
+        ss, _, bump = _full_line_bump(body, offsets, h, radius)
     else:
         c, s = np.cos(turn), np.sin(turn)
-        u = anchor_directions(patch.center)
+        u = anchor_directions(offsets * h / 6)
         w = sign * scale * np.array([c * u[0] - s * u[1], s * u[0] + c * u[1]])
         e = np.array([-w[1], w[0]]) / scale
         ss = np.tan(np.linspace(-1.5, 1.5, 20001)) / scale
         x = w[None, :] / scale ** 2 + ss[:, None] * e[None, :]
-        bump = cube_pair_bump(x / np.linalg.norm(x, axis=1)[:, None], patch.h,
-                              patch.offsets)
-    (a,), (b,) = _support_window([patch], w[None, :], e[None, :])
+        bump = cube_pair_bump(x / np.linalg.norm(x, axis=1)[:, None], h,
+                              offsets)
+    (a,), (b,) = _support_window(offsets[None, :] * h / 6, h, w[None, :],
+                                 e[None, :])
     inside = ss[bump > 0]
     assert np.all((a <= inside) & (inside <= b))
 
@@ -308,9 +309,9 @@ def test_patch_fits_are_one_batch_per_unity_call(monkeypatch):
     calls = []
     fit = unity._patch_coeffs
 
-    def counted(body, patches, targets, radius):
-        calls.append((len(patches), list(targets)))
-        return fit(body, patches, targets, radius)
+    def counted(body, offsets, h, targets, radius):
+        calls.append((len(offsets), list(targets)))
+        return fit(body, offsets, h, targets, radius)
 
     monkeypatch.setattr(unity, "_patch_coeffs", counted)
     body = ConvexBody.ellipse(2.0, 1.0)
