@@ -32,6 +32,8 @@ _FUNCS = {
     "sqrt": np.sqrt,
     "log": np.log,
 }
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+        "^": np.power}
 _VARS = ("x", "y", "t")
 
 _TOKEN_RE = re.compile(
@@ -107,32 +109,17 @@ def _eval(node, env):
         return env[node.name]
     if node.kind == "neg":
         return -_eval(node.args[0], env)
-    if node.kind == "call":
-        arg = _eval(node.args[0], env)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = _FUNCS[node.name](arg)
-        if not np.all(np.isfinite(out)):
-            raise ExprDomainError(
-                f"{node.name} evaluated outside its domain at column "
-                f"{node.column}", where=node.column)
-        return out
-    a = _eval(node.args[0], env)
-    b = _eval(node.args[1], env)
+    args = [_eval(a, env) for a in node.args]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if node.kind == "+":
-            out = a + b
-        elif node.kind == "-":
-            out = a - b
-        elif node.kind == "*":
-            out = a * b
-        elif node.kind == "/":
-            out = np.divide(a, b)
+        if node.kind == "call":
+            out = _FUNCS[node.name](*args)
+            what = f"{node.name} evaluated outside its domain"
         else:
-            out = np.power(a, b)
+            out = _OPS[node.kind](*args)
+            what = f"operator {node.kind!r} produced a non-finite value"
     if not np.all(np.isfinite(out)):
-        raise ExprDomainError(
-            f"operator {node.kind!r} produced a non-finite value at column "
-            f"{node.column}", where=node.column)
+        raise ExprDomainError(f"{what} at column {node.column}",
+                              where=node.column)
     return out
 
 
@@ -166,20 +153,13 @@ class _Parser:
                             f"{tok.column}", column=tok.column)
         return node
 
-    def expr(self):
-        node = self.term()
-        while (tok := self.peek()) and tok.kind == "op" and tok.text in "+-":
+    def expr(self, ops="+-"):
+        # left-associative chain of ops, "+-" over terms, "*/" over unaries
+        operand = self.unary if ops == "*/" else (lambda: self.expr("*/"))
+        node = operand()
+        while (tok := self.peek()) and tok.kind == "op" and tok.text in ops:
             self.next()
-            rhs = self.term()
-            node = Node(tok.text, tok.column, args=(node, rhs))
-        return node
-
-    def term(self):
-        node = self.unary()
-        while (tok := self.peek()) and tok.kind == "op" and tok.text in "*/":
-            self.next()
-            rhs = self.unary()
-            node = Node(tok.text, tok.column, args=(node, rhs))
+            node = Node(tok.text, tok.column, args=(node, operand()))
         return node
 
     def unary(self):

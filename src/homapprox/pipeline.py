@@ -20,7 +20,7 @@ from .errors import EscalationError
 from .polys import HomogeneousPoly, _planar_points
 from .report import ApproxReport
 from .unity import approximate_unities, mesh_size
-from .weighted_approx import _weighted_lp, _homog_from_monomial
+from .weighted_approx import _weighted_lp
 
 _VALIDATION_SEED = 0xB17E
 _REPORT_SAMPLES = 2000     # midpoint boundary angles; half as many seeded
@@ -76,12 +76,13 @@ def approximate_theorem2(body, f, n):
     n_odd = n - 1 if n % 2 == 0 else n
 
     def sample(phi):
+        # the second half turn's points are the first's reflections
         pts, radius = body.boundary_at(phi)
-        return radius, f(pts)
+        return radius, np.stack([f(pts), f(-pts)])
 
-    wa_e, wa_o = _weighted_lp(sample, body.weight(), (n_even, n_odd), 2)
-    h_even = _homog_from_monomial(wa_e.monomial_coeffs(), n_even)
-    h_odd = _homog_from_monomial(wa_o.monomial_coeffs(), n_odd)
+    wa_e, wa_o = _weighted_lp(sample, body.weight(), (n_even, n_odd))
+    h_even = HomogeneousPoly.from_vector(wa_e.monomial_coeffs())
+    h_odd = HomogeneousPoly.from_vector(wa_o.monomial_coeffs())
 
     def pair_eval(pts):
         return wa_e.eval_points(pts) + wa_o.eval_points(pts)
@@ -103,15 +104,16 @@ def _weierstrass_fit(body, f, m):
     """
     samples = 16 * (m + 1) ** 2
     pts = body.boundary_points(samples)
-    exps = [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
-    V = np.stack([pts[:, 0] ** a * pts[:, 1] ** b for a, b in exps], axis=1)
+    a, b = np.array([(i, j) for i in range(m + 1) for j in range(m + 1 - i)]).T
+    xp, yp = (np.stack([c ** k for k in range(m + 1)], axis=1) for c in pts.T)
+    # C order: V.T @ V rounds by memory layout
+    V = np.ascontiguousarray(xp[:, a] * yp[:, b])
     fv = f(pts)
     A = V.T @ V + 1e-10 * np.eye(V.shape[1])
     coef = np.linalg.solve(A, V.T @ fv)
     resid = float(np.max(np.abs(V @ coef - fv)))
     parts = np.zeros((m + 1, m + 1))
-    for (a, b), c in zip(exps, coef):
-        parts[a + b, b] = c
+    parts[a + b, b] = coef
     return parts, resid
 
 

@@ -85,9 +85,6 @@ class HomogeneousPoly:
             out += a * yk
         return out if len(out) != 1 else float(out[0])
 
-    def scale(self, a):
-        return HomogeneousPoly.from_vector(a * self.vec)
-
     def multiply(self, other):
         return HomogeneousPoly.from_vector(np.convolve(self.vec, other.vec))
 

@@ -208,12 +208,9 @@ _DENSITY_CAP = 4096    # most Chebyshev nodes the density's expansion may use
 
 def _t_to_u_coeffs(ct):
     """Second-kind coefficients of sum ct[j] T_j via T_j = (U_j - U_{j-2})/2."""
-    n = len(ct)
-    cu = np.zeros(n)
-    if n > 0:
-        cu[0] = ct[0] - (ct[2] / 2 if n > 2 else 0.0)
-    for j in range(1, n):
-        cu[j] = ct[j] / 2 - (ct[j + 2] / 2 if j + 2 < n else 0.0)
+    cu = ct / 2 - np.concatenate([ct[2:], np.zeros(min(2, len(ct)))]) / 2
+    if len(ct):
+        cu[0] = ct[0] - (ct[2] / 2 if len(ct) > 2 else 0.0)
     return cu
 
 

@@ -14,8 +14,10 @@ point) and, homogenized in x^2 and x^2 + y^2, the monomial coefficients
 through one Horner pass.
 
 One solver handles one parity on one half turn of directions or an even/odd
-pair jointly on two, by a multi-point exchange; the columns are built on the
-first half turn, since a form of degree n takes the sign (-1)^n at phi + pi.
+pair jointly on two, by a multi-point exchange.  The boundary is read once per
+node set, on the first half turn: the point at phi + pi of a 0-symmetric body
+is minus the one at phi, so the sampler gives the further half turns' targets
+there, and the columns enter them with the sign (-1)^n of a form of degree n.
 The LP starts on 4 (n + 1) + 1 angles for the largest degree n; each fit is
 checked on a fixed grid of 40010 angles per half turn, and the kinks of W (a
 polygon's vertex directions) join both.  While the verified error exceeds the
@@ -39,7 +41,7 @@ terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -48,7 +50,7 @@ from scipy.optimize import linprog  # noqa: F401
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 
 from .errors import DegreeCapError, UnequalLimitsError, NoConvergenceError
-from .polys import HomogeneousPoly, _lift_graded, _times_form
+from .polys import _lift_graded, _times_form
 
 _DEGREE_CAP = 128
 _VERIFY_GRID = 40010
@@ -152,7 +154,6 @@ class WeightedApproximant:
     lp_solves: int
     lp_rows: int
     converged: bool
-    _mono: np.ndarray = field(default=None, repr=False)
 
     def _value(self, mod, c, s):
         """The basis sum at directions (c, s) with modulus mod, by chunks."""
@@ -184,15 +185,13 @@ class WeightedApproximant:
         h = gref^-nu sum over the families of pref(x, y) times the Horner sum
         sum_j (x^2+y^2)^(J-j) coef_j P_j of `_graded` (j = 0, ..., J).
         """
-        if self._mono is None:
-            mono, lo = np.zeros(self.nu + 1), 0
-            for pref, (alpha, beta) in zip(_PREFS[self.nu % 2], self.rec):
-                if len(beta):
-                    part = _lift_graded(_graded(self.coef[lo:], alpha, beta), _R2)
-                    mono += _times_form(part, np.array(pref))
-                lo += len(beta)
-            self._mono = mono / self.gref ** self.nu
-        return self._mono
+        mono, lo = np.zeros(self.nu + 1), 0
+        for pref, (alpha, beta) in zip(_PREFS[self.nu % 2], self.rec):
+            if len(beta):
+                part = _lift_graded(_graded(self.coef[lo:], alpha, beta), _R2)
+                mono += _times_form(part, np.array(pref))
+            lo += len(beta)
+        return mono / self.gref ** self.nu
 
 
 def _basis_matrix(radius, phi, nu, gref, rec=None):
@@ -275,19 +274,20 @@ def _peaks(resid, err, cap):
     return divmod(peak[np.argsort(r[peak])[-cap:]], _VERIFY_GRID)
 
 
-def _weighted_lp(sample, w, degrees, turns):
+def _weighted_lp(sample, w, degrees):
     """Discrete weighted minimax over stacked basis blocks (internal).
 
-    ``sample(phi)`` gives the boundary's distance from the origin and the
-    target at direction angles phi, read over ``turns`` half turns from
-    phi = -pi/2.  ``degrees`` gives one basis block per degree nu, built on
-    the first half turn alone: a form of degree nu obeys h(-x) = (-1)^nu h(x),
-    so on half turn k the block enters with sign (-1)^(k nu).  One half turn
-    with one block is the single-parity problem; two half turns with an even
-    and an odd block are the pair problem, whose sup error over the whole
-    boundary is minimized jointly so that the parities' residuals share
-    extrema instead of adding up.  The kinks of W join the angles as
-    arctan(kink).  Returns one WeightedApproximant per block.
+    ``sample(phi)`` gives, at direction angles phi of the first half turn
+    [-pi/2, pi/2), the boundary's distance from the origin and one row of
+    targets per half turn k, read at the boundary points (-1)^k p(phi).
+    ``degrees`` gives one basis block per degree nu, built on the first half
+    turn alone: a form of degree nu obeys h(-x) = (-1)^nu h(x), so on half
+    turn k the block enters with sign (-1)^(k nu).  One row with one block is
+    the single-parity problem; two rows with an even and an odd block are the
+    pair problem, whose sup error over the whole boundary is minimized
+    jointly so that the parities' residuals share extrema instead of adding
+    up.  The kinks of W join the angles as arctan(kink).  Returns one
+    WeightedApproximant per block.
     """
     if max(degrees) > _DEGREE_CAP:
         raise DegreeCapError(f"degree {max(degrees)} beyond cap {_DEGREE_CAP}")
@@ -298,8 +298,7 @@ def _weighted_lp(sample, w, degrees, turns):
         # at the kinks of W, which no uniform grid need hit: they join both
         # grids
         phi = np.concatenate([(2 * np.pi * np.arange(m) / m - np.pi) / 2, kinks])
-        radius, target = zip(*(sample(phi + k * np.pi) for k in range(turns)))
-        return phi, radius[0], np.stack(target)
+        return (phi, *sample(phi))
 
     def columns(phi, radius, recs):
         cols, recs = zip(*[_basis_matrix(radius, phi, nu, gref, rec)
@@ -316,7 +315,7 @@ def _weighted_lp(sample, w, degrees, turns):
     # half turn k reads the block of degree nu with the parity (-1)^(k nu)
     signs = np.array([np.concatenate([np.full(nu + 1, (-1.0) ** (k * nu))
                                       for nu in degrees])
-                      for k in range(turns)])
+                      for k in range(len(fv))])
     lp = _ExchangeLP(np.vstack([B * s for s in signs]), fs.ravel())
     cap = 2 * B.shape[1]
     lp_solves, last, best = 0, -np.inf, (np.inf, None)
@@ -360,10 +359,6 @@ def weighted_minimax(f, w, n):
         end = phi == -np.pi / 2
         t = np.where(end, 0.0, np.tan(phi))
         return (np.where(end, w.rho, w.W(t) * np.hypot(1.0, t)),
-                np.where(end, f.at_neg_inf, f(t)))
+                np.where(end, f.at_neg_inf, f(t))[None])
 
-    return _weighted_lp(sample, w, (n,), 1)[0]
-
-
-def _homog_from_monomial(a, n):
-    return HomogeneousPoly.from_vector(a[:n + 1])
+    return _weighted_lp(sample, w, (n,))[0]

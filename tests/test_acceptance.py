@@ -19,7 +19,6 @@ from homapprox import (ConvexBody, CompactifiedFunction, HomogeneousPoly,
 from homapprox.cli import run as cli_run
 from homapprox.partition import partition_sum_and_overlap, active_indices
 from homapprox.polys import growth_bound_check
-from homapprox.weighted_approx import _homog_from_monomial
 
 _CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -99,7 +98,8 @@ def test_criterion_2_homogenization_lift_and_suppression():
             # normalize |h| <= 1 on the on-patch segment of the line
             s = np.linspace(-4 * delta, 4 * delta, 2001)
             seg = a[None, :] + s[:, None] * e[None, :]
-            h = h.scale(1.0 / np.max(np.abs(h(seg))))
+            h = HomogeneousPoly.from_vector(
+                1.0 / np.max(np.abs(h(seg))) * h.vec)
             # sample strictly off-patch and pull x/t back into the body
             s2 = rng.uniform(4 * delta + 1e-9, 25.0, 1000)
             s2 *= rng.choice([-1.0, 1.0], 1000)
@@ -166,7 +166,7 @@ def test_criterion_5_weighted_homogeneous_identity():
                 lim = w.rho ** n
                 for _ in range(21):
                     a = rng.standard_normal(n + 1)
-                    h = _homog_from_monomial(a, n)
+                    h = HomogeneousPoly.from_vector(a)
                     ref = wn * np.polynomial.polynomial.polyval(t, a)
                     scale = 1 + np.max(np.abs(ref))
                     assert np.max(np.abs(h(pts) - ref)) < 1e-10 * scale

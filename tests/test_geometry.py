@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from homapprox import (BoundaryPointError, ConvexBody, DimensionError,
                        HomogeneousPoly)
 from homapprox.geometry import SupportLine
-from homapprox.weighted_approx import _homog_from_monomial
 
 
 def bodies():
@@ -336,7 +335,7 @@ def test_weight_identity_property(body, n, ts, seed):
     assert np.array_equal(w.W(t), pts[:, 0])
 
     a = np.random.default_rng(seed).standard_normal(n + 1)
-    h = _homog_from_monomial(a, n)
+    h = HomogeneousPoly.from_vector(a)
     ref = w.W(t) ** n * np.polynomial.polynomial.polyval(t, a)
     # rounding is relative to the sum of the terms' sizes, not to their sum
     size = HomogeneousPoly.from_vector(np.abs(a))(np.abs(pts))

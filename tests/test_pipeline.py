@@ -236,6 +236,25 @@ def test_theorem1_unity_meshes_count_distinct_meshes():
         assert ex["unity_cache_hits"] == 4
 
 
+@pytest.mark.parametrize("m", [8, 16])
+def test_weierstrass_fit_matches_the_monomial_loop(m):
+    """The fit's per-coordinate power tables give, bit for bit, the parts
+    and residual of one column x^a y^b per monomial."""
+    from homapprox.pipeline import _weierstrass_fit
+    body = ConvexBody.ellipse(2.0, 1.0)
+    pts = body.boundary_points(16 * (m + 1) ** 2)
+    exps = [(a, b) for a in range(m + 1) for b in range(m + 1 - a)]
+    V = np.stack([pts[:, 0] ** a * pts[:, 1] ** b for a, b in exps], axis=1)
+    fv = f_expcos(pts)
+    coef = np.linalg.solve(V.T @ V + 1e-10 * np.eye(len(exps)), V.T @ fv)
+    ref = np.zeros((m + 1, m + 1))
+    for (a, b), c in zip(exps, coef):
+        ref[a + b, b] = c
+    parts, resid = _weierstrass_fit(body, f_expcos, m)
+    assert np.array_equal(parts, ref)
+    assert resid == float(np.max(np.abs(V @ coef - fv)))
+
+
 def _theorem1_one_multiplier_at_a_time(body, f, n, m):
     """The geometric pair built with one approximate_unity call per distinct
     multiplier, in the order of the graded parts."""

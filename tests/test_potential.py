@@ -89,6 +89,20 @@ def test_support_solve_is_judged_by_its_residuals(monkeypatch):
         mrs_support(w, 1.5)
 
 
+def test_t_to_u_coeffs_match_the_termwise_loop():
+    """The vectorized T-to-U conversion is, bit for bit, the loop over
+    T_j = (U_j - U_(j-2)) / 2 term by term."""
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 2, 3, 5, 64):
+        ct = rng.standard_normal(n)
+        ref = np.zeros(n)
+        if n > 0:
+            ref[0] = ct[0] - (ct[2] / 2 if n > 2 else 0.0)
+        for j in range(1, n):
+            ref[j] = ct[j] / 2 - (ct[j + 2] / 2 if j + 2 < n else 0.0)
+        assert np.array_equal(potential._t_to_u_coeffs(ct), ref), n
+
+
 def test_disk_weight_equilibrium_properties():
     w = disk_weight()
     bs = []

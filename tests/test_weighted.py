@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from homapprox import (ConvexBody, CompactifiedFunction, weighted_minimax,
-                       approximate_theorem2, UnequalLimitsError, DegreeCapError)
+from homapprox import (ConvexBody, CompactifiedFunction, HomogeneousPoly,
+                       weighted_minimax, approximate_theorem2,
+                       UnequalLimitsError, DegreeCapError)
 from homapprox import pipeline, weighted_approx
-from homapprox.weighted_approx import _homog_from_monomial
 
 
 def disk_weight():
@@ -120,7 +120,7 @@ def test_conversion_matches_on_boundary_and_at_infinity():
     w = body.weight()
     f = CompactifiedFunction(lambda t: np.exp(-t ** 2), 0.0, 0.0)
     wa = weighted_minimax(f, w, 8)
-    h = _homog_from_monomial(wa.monomial_coeffs(), wa.nu)
+    h = HomogeneousPoly.from_vector(wa.monomial_coeffs())
     t = np.linspace(-50, 50, 801)
     pts = body.slope_points(t)
     lhs = h(pts)
@@ -151,7 +151,7 @@ def test_eval_points_matches_monomial_homogeneous():
     w = body.weight()
     f = CompactifiedFunction(lambda t: 1.0 / (1 + t ** 2), 0.0, 0.0)
     wa = weighted_minimax(f, w, 10)
-    h = _homog_from_monomial(wa.monomial_coeffs(), wa.nu)
+    h = HomogeneousPoly.from_vector(wa.monomial_coeffs())
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.5, 1.5, size=(200, 2))
     scale = 1 + np.max(np.abs(h(pts)))
@@ -219,9 +219,9 @@ def _expcos_pair(body, degrees):
 
     def sample(phi):
         pts, radius = body.boundary_at(phi)
-        return radius, f(pts)
+        return radius, np.stack([f(pts), f(-pts)])
 
-    return weighted_approx._weighted_lp(sample, body.weight(), degrees, 2), f
+    return weighted_approx._weighted_lp(sample, body.weight(), degrees), f
 
 
 def test_exchange_error_matches_fresh_fine_grid():
@@ -329,6 +329,22 @@ def test_basis_takes_the_parity_of_a_form(body, nu):
                                               rec)
     assert (np.max(np.abs(turned - (-1) ** nu * B))
             <= 1e-11 * np.max(np.abs(B)))
+
+
+def test_pair_reads_the_boundary_once_per_node_set(monkeypatch):
+    """One planar pair reads the boundary four times: once each on the
+    verification grid and the LP's start grid, the half turn past them
+    taken as the reflected points, and twice for the report."""
+    reads = []
+    boundary_at = ConvexBody.boundary_at
+
+    def counting(self, theta):
+        reads.append(np.size(theta))
+        return boundary_at(self, theta)
+
+    monkeypatch.setattr(ConvexBody, "boundary_at", counting)
+    approximate_theorem2(ConvexBody.square(), lambda p: np.abs(p[:, 1]), 16)
+    assert len(reads) == 4
 
 
 def test_exchange_peaks_run_across_the_seam():
