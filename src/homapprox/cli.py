@@ -53,18 +53,16 @@ def _validate_keys(obj, allowed, pointer=""):
             raise ConfigError(f"unknown key {key!r}", pointer=f"{pointer}/{key}")
 
 
-_BODY_KEYS = ("type", "radius", "semi_axes", "vertices", "p",
-              "angles", "radii", "half_width")
 _WEIGHT_KEYS = ("type", "body", "m", "w")
 
 
 def _build_body(spec, pointer):
-    _validate_keys(spec, _BODY_KEYS, pointer)
-    if "type" not in spec:
-        raise ConfigError("missing body type", pointer=f"{pointer}/type")
+    _check_type(spec, dict, pointer)
     try:
         return ConvexBody.from_config(spec)
-    except (KeyError, ValueError, TypeError, DimensionError) as exc:
+    except ConfigError as exc:
+        raise ConfigError(str(exc), pointer=pointer + exc.pointer)
+    except (ValueError, TypeError, DimensionError) as exc:
         raise ConfigError(f"invalid body: {exc}", pointer=pointer)
 
 
@@ -214,6 +212,8 @@ def _run_approx(cfg, out):
 def _run_unity(cfg, out):
     _validate_keys(cfg, ("body", "n", "h"))
     body = _build_body(_require(cfg, "body", dict), "/body")
+    if not body.is_smooth():
+        raise ConfigError("unity needs a smooth body", pointer="/body")
     n = _require(cfg, "n", int)
     if n % 2 != 0:
         raise ConfigError("n is the output degree and must be even",

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import minimize_scalar
 
-from .errors import BoundaryPointError, DimensionError
+from .errors import BoundaryPointError, ConfigError, DimensionError
 from .potential import Weight
 
 _BOUNDARY_TOL = 1e-9
@@ -60,30 +60,42 @@ def _lengths(values, count, what):
 
 
 class ConvexBody:
-    """Centrally symmetric planar convex body given by one of several shape variants.
+    """Centrally symmetric planar convex body, known through its gauge.
 
-    Construct through the classmethods (`disk`, `ellipse`, `polygon`,
-    `pnorm_ball`, `radial_samples`).  Instances are immutable; all operations
-    are pure.
+    Construct through the classmethods (`disk`, `ellipse`, `polygon`, `square`,
+    `pnorm_ball`, `radial_samples`, `from_config`).  Each factory owns its
+    shape: it passes closures for the gauge and its gradient over its own
+    data, and its closed-form delta_K (None if it has none), corners and
+    smoothness.  Instances are immutable; all operations are pure.
     """
 
-    def __init__(self, kind, params):
+    def __init__(self, kind, gauge, gradient, *, delta=None,
+                 corners=np.zeros((0, 2)), smooth=True):
         self.kind = kind
-        self.params = params
-        self._delta = None
-        if kind == "radial":
-            self._validate_radial_convexity()
+        self._gauge = gauge
+        self._gradient = gradient
+        self._delta = delta
+        self._corners = corners
+        self._smooth = smooth
 
     # ---------------------------------------------------------------- factories
 
     @classmethod
     def disk(cls, radius=1.0):
         radius, = _lengths([radius], 1, "disk radius")
-        return cls("disk", {"radius": float(radius)})
+        return cls.ellipse(radius, radius)
 
     @classmethod
     def ellipse(cls, *semi_axes):
-        return cls("ellipse", {"axes": _lengths(semi_axes, 2, "ellipse semi-axes")})
+        axes = _lengths(semi_axes, 2, "ellipse semi-axes")
+
+        def gauge(x):
+            return np.sqrt(np.sum((x / axes) ** 2, axis=-1))
+
+        def gradient(x):
+            return (x / axes ** 2) / gauge(x)[..., None]
+
+        return cls("ellipse", gauge, gradient, delta=float(np.max(axes)))
 
     @classmethod
     def polygon(cls, vertices):
@@ -113,7 +125,20 @@ class ConvexBody:
         # the half-planes bound a different body if they cut off a vertex
         if np.max(verts @ forms.T) > 1 + 1e-9:
             raise ValueError("polygon is not convex")
-        return cls("polygon", {"vertices": verts, "edge_forms": forms})
+
+        def gauge(x):
+            return np.max(x @ forms.T, axis=-1)
+
+        def gradient(x):
+            vals = x @ forms.T
+            best = np.max(vals, axis=-1, keepdims=True)
+            # vertex tie: the smallest index among ties, edges in CCW order
+            idx = np.argmax(vals >= best - 1e-12 * (1 + np.abs(best)), axis=-1)
+            return forms[idx]
+
+        return cls("polygon", gauge, gradient,
+                   delta=float(np.max(np.linalg.norm(verts, axis=1))),
+                   corners=verts, smooth=False)
 
     @classmethod
     def square(cls, half_width=1.0):
@@ -129,7 +154,16 @@ class ConvexBody:
             # the diamond: a polygon, so its vertices are its corners
             a, b = axes
             return cls.polygon([(a, 0), (0, b), (-a, 0), (0, -b)])
-        return cls("pnorm", {"p": float(p), "axes": axes})
+        p = float(p)
+
+        def gauge(x):
+            return np.sum(np.abs(x / axes) ** p, axis=-1) ** (1.0 / p)
+
+        def gradient(x):
+            return (np.sign(x) * np.abs(x / axes) ** (p - 1) / axes
+                    * gauge(x)[..., None] ** (1 - p))
+
+        return cls("pnorm", gauge, gradient, smooth=p >= 2)
 
     @classmethod
     def radial_samples(cls, angles, radii):
@@ -149,25 +183,62 @@ class ConvexBody:
         ang_ext = np.concatenate([ang_full - 2 * np.pi, ang_full, ang_full + 2 * np.pi])
         rad_ext = np.tile(rad_full, 3)
         interp = PchipInterpolator(ang_ext, rad_ext)
-        return cls("radial", {"interp": interp, "dinterp": interp.derivative()})
+        dinterp = interp.derivative()
+
+        def gauge(x):
+            # |x| / r(theta)
+            theta = np.arctan2(x[..., 1], x[..., 0]) % (2 * np.pi)
+            return np.linalg.norm(x, axis=-1) / interp(theta)
+
+        def gradient(x):
+            # grad(|x|/r(theta)) = (x + r'(theta)/r(theta) (y, -x)) / (|x| r(theta))
+            theta = np.arctan2(x[..., 1], x[..., 0]) % (2 * np.pi)
+            r = interp(theta)[..., None]
+            dr = dinterp(theta)[..., None]
+            turn = np.stack([x[..., 1], -x[..., 0]], axis=-1)
+            return (x + dr / r * turn) / (np.linalg.norm(x, axis=-1, keepdims=True) * r)
+
+        body = cls("radial", gauge, gradient)
+        pts = body.boundary_points(512)
+        edges = np.diff(np.vstack([pts, pts[:1]]), axis=0)
+        cross = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
+        scale = np.max(np.abs(cross))
+        if np.any(cross < -1e-8 * (1 + scale)):
+            raise ValueError("radial samples do not describe a convex body")
+        return body
 
     @classmethod
     def from_config(cls, spec):
-        """Build a body from the CLI body sub-schema."""
-        kind = spec["type"]
-        if kind == "disk":
-            return cls.disk(spec.get("radius", 1.0))
-        if kind == "ellipse":
-            return cls.ellipse(*spec["semi_axes"])
-        if kind == "square":
-            return cls.square(spec.get("half_width", 1.0))
-        if kind == "polygon":
-            return cls.polygon(spec["vertices"])
-        if kind == "pnorm":
-            return cls.pnorm_ball(spec["p"], spec.get("semi_axes", (1.0, 1.0)))
-        if kind == "radial-samples":
-            return cls.radial_samples(spec["angles"], spec["radii"])
-        raise ValueError(f"unknown body type {kind!r}")
+        """Build a body from the CLI body sub-schema {"type": ..., key: value}.
+
+        `schema`, its one definition, maps each type to its factory and the
+        factory's required and optional parameters.  A missing, foreign or
+        non-numeric key raises ConfigError, its pointer relative to spec."""
+        if "type" not in spec:
+            raise ConfigError("missing body type", pointer="/type")
+        schema = {
+            "disk": (cls.disk, (), ("radius",)),
+            "ellipse": (lambda semi_axes: cls.ellipse(*semi_axes), ("semi_axes",), ()),
+            "square": (cls.square, (), ("half_width",)),
+            "polygon": (cls.polygon, ("vertices",), ()),
+            "pnorm": (cls.pnorm_ball, ("p",), ("semi_axes",)),
+            "radial-samples": (cls.radial_samples, ("angles", "radii"), ()),
+        }
+        name = spec["type"]
+        if name not in schema:
+            raise ValueError(f"unknown body type {name!r}")
+        factory, required, optional = schema[name]
+        args = {key: value for key, value in spec.items() if key != "type"}
+        for key in [*required, *args]:
+            if key not in args:
+                raise ConfigError(f"body type {name!r} needs key {key!r}",
+                                  pointer=f"/{key}")
+            if key not in required + optional:
+                raise ConfigError(f"body type {name!r} takes no key {key!r}",
+                                  pointer=f"/{key}")
+            if np.asarray(args[key]).dtype.kind not in "iuf":
+                raise ConfigError(f"{key} must be numeric", pointer=f"/{key}")
+        return factory(**args)
 
     # ---------------------------------------------------------------- gauge
 
@@ -176,19 +247,7 @@ class ConvexBody:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != 2:
             raise DimensionError(f"point dimension {x.shape[-1]} != body dimension 2")
-        if self.kind == "disk":
-            return np.linalg.norm(x, axis=-1) / self.params["radius"]
-        if self.kind == "ellipse":
-            return np.sqrt(np.sum((x / self.params["axes"]) ** 2, axis=-1))
-        if self.kind == "pnorm":
-            p = self.params["p"]
-            return np.sum(np.abs(x / self.params["axes"]) ** p, axis=-1) ** (1.0 / p)
-        if self.kind == "polygon":
-            return np.max(x @ self.params["edge_forms"].T, axis=-1)
-        # radial: |x| / r(theta)
-        nrm = np.linalg.norm(x, axis=-1)
-        theta = np.arctan2(x[..., 1], x[..., 0]) % (2 * np.pi)
-        return nrm / self.params["interp"](theta)
+        return self._gauge(x)
 
     def radial(self, u):
         """Distance from the origin to the boundary in direction u (unit or not)."""
@@ -197,61 +256,23 @@ class ConvexBody:
 
     def gauge_gradient(self, x):
         """Gradient of the gauge at x != 0 (a.e. for polytopes); vectorized over leading axes."""
-        x = np.asarray(x, dtype=float)
-        if self.kind == "disk":
-            return x / (np.linalg.norm(x, axis=-1, keepdims=True) * self.params["radius"])
-        if self.kind == "ellipse":
-            a = self.params["axes"]
-            return (x / a ** 2) / self.gauge(x)[..., None]
-        if self.kind == "pnorm":
-            p = self.params["p"]
-            a = self.params["axes"]
-            g = self.gauge(x)[..., None]
-            return np.sign(x) * np.abs(x / a) ** (p - 1) / a * g ** (1 - p)
-        if self.kind == "polygon":
-            forms = self.params["edge_forms"]
-            vals = x @ forms.T
-            best = np.max(vals, axis=-1, keepdims=True)
-            # vertex tie: the smallest index among ties, edges in CCW order
-            idx = np.argmax(vals >= best - 1e-12 * (1 + np.abs(best)), axis=-1)
-            return forms[idx]
-        # radial: grad(|x|/r(theta)) = (x + r'(theta)/r(theta) (y, -x)) / (|x| r(theta))
-        theta = np.arctan2(x[..., 1], x[..., 0]) % (2 * np.pi)
-        r = self.params["interp"](theta)[..., None]
-        dr = self.params["dinterp"](theta)[..., None]
-        turn = np.stack([x[..., 1], -x[..., 0]], axis=-1)
-        return (x + dr / r * turn) / (np.linalg.norm(x, axis=-1, keepdims=True) * r)
+        return self._gradient(np.asarray(x, dtype=float))
 
     # ---------------------------------------------------------------- derived quantities
 
     def delta(self):
-        """delta_K = max Euclidean norm over the boundary."""
-        if self._delta is not None:
-            return self._delta
-        if self.kind == "disk":
-            val = self.params["radius"]
-        elif self.kind == "ellipse":
-            val = float(np.max(self.params["axes"]))
-        elif self.kind == "polygon":
-            val = float(np.max(np.linalg.norm(self.params["vertices"], axis=1)))
-        else:
-            val = self._max_radial_2d()
-        self._delta = val
-        return val
-
-    def _max_radial_2d(self):
-        thetas = np.linspace(0, np.pi, 2049)
-        dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-        r = self.radial(dirs)
-        t0 = thetas[int(np.argmax(r))]
-        span = np.pi / 2048
-
-        def neg_r(t):
-            return -self.radial(np.array([np.cos(t), np.sin(t)]))
-
-        res = minimize_scalar(neg_r, bounds=(t0 - span, t0 + span), method="bounded",
-                              options={"xatol": 1e-12})
-        return float(max(np.max(r), -res.fun))
+        """delta_K = max Euclidean norm over the boundary, sampled on first use
+        when the factory gave no closed form."""
+        if self._delta is None:
+            thetas = np.linspace(0, np.pi, 2049)
+            r = self.boundary_at(thetas)[1]
+            t0 = thetas[int(np.argmax(r))]
+            span = np.pi / 2048
+            res = minimize_scalar(lambda t: -self.boundary_at(t)[1],
+                                  bounds=(t0 - span, t0 + span), method="bounded",
+                                  options={"xatol": 1e-12})
+            self._delta = float(max(np.max(r), -res.fun))
+        return self._delta
 
     def support_line(self, p):
         """Supporting line at boundary point p, normalized to <x, w> = 1; for
@@ -311,25 +332,11 @@ class ConvexBody:
     def corners(self):
         """The boundary's corners, one row each: a polygon's vertices, and a
         (0, 2) array for every other body."""
-        if self.kind == "polygon":
-            return self.params["vertices"]
-        return np.zeros((0, 2))
+        return self._corners
 
     def is_smooth(self):
         """True for bodies accepted on the geometric (partition) route."""
-        if self.kind in ("disk", "ellipse", "radial"):
-            return True
-        if self.kind == "pnorm":
-            return self.params["p"] >= 2
-        return False
-
-    def _validate_radial_convexity(self):
-        pts = self.boundary_points(512)
-        edges = np.diff(np.vstack([pts, pts[:1]]), axis=0)
-        cross = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
-        scale = np.max(np.abs(cross))
-        if np.any(cross < -1e-8 * (1 + scale)):
-            raise ValueError("radial samples do not describe a convex body")
+        return self._smooth
 
     def __repr__(self):
         return f"ConvexBody(kind={self.kind!r})"

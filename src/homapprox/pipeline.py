@@ -81,8 +81,8 @@ def approximate_theorem2(body, f, n):
         return radius, np.stack([f(pts), f(-pts)])
 
     wa_e, wa_o = _weighted_lp(sample, body.weight(), (n_even, n_odd))
-    h_even = HomogeneousPoly.from_vector(wa_e.monomial_coeffs())
-    h_odd = HomogeneousPoly.from_vector(wa_o.monomial_coeffs())
+    h_even = HomogeneousPoly(wa_e.monomial_coeffs())
+    h_odd = HomogeneousPoly(wa_o.monomial_coeffs())
 
     def pair_eval(pts):
         return wa_e.eval_points(pts) + wa_o.eval_points(pts)
@@ -144,11 +144,11 @@ def approximate_theorem1(body, f, n):
     sums = [np.zeros(2 * n + 1), np.zeros(2 * n + 2)]
     bound = 0.0
     for deg, part in enumerate(parts):
-        hj = HomogeneousPoly.from_vector(part[:deg + 1])
+        hj = HomogeneousPoly(part[:deg + 1])
         u, uerr = unity[n - deg // 2]
         sums[deg % 2] += hj.multiply(u).vec
         bound += float(np.max(np.abs(hj(pts)))) * uerr
-    h_even, h_odd = map(HomogeneousPoly.from_vector, sums)
+    h_even, h_odd = map(HomogeneousPoly, sums)
 
     def pair_eval(pts):
         return h_even(pts) + h_odd(pts)

@@ -36,28 +36,9 @@ class HomogeneousPoly:
     entries.
     """
 
-    dim = 2
-
-    def __init__(self, dim, degree, coeffs=None):
-        if dim != 2:
-            raise DimensionError("homogeneous polynomials are planar (dim 2)")
-        vec = np.zeros(degree + 1)
-        for k, v in (coeffs or {}).items():
-            if len(k) != 2:
-                raise DimensionError(f"exponent {k} has wrong length")
-            if sum(k) != degree or min(k) < 0:
-                raise ValueError(f"exponent {k} does not sum to {degree}")
-            vec[k[1]] = v
-        vec.setflags(write=False)
-        self.vec = vec
-
-    @classmethod
-    def from_vector(cls, vec):
-        """The polynomial sum_k vec[k] x^(len(vec)-1-k) y^k."""
-        hp = cls.__new__(cls)
-        hp.vec = np.array(vec, dtype=float)
-        hp.vec.setflags(write=False)
-        return hp
+    def __init__(self, vec):
+        self.vec = np.array(vec, dtype=float)
+        self.vec.setflags(write=False)
 
     @property
     def degree(self):
@@ -69,7 +50,7 @@ class HomogeneousPoly:
                                  for k, v in enumerate(self.vec) if v != 0.0})
 
     def __repr__(self):
-        return f"HomogeneousPoly(2, {self.degree}, {dict(self.coeffs)!r})"
+        return f"HomogeneousPoly({self.vec.tolist()!r})"
 
     def __call__(self, x):
         # s_k = x s_{k-1} + vec[k] y^k, so s_degree is the polynomial; no
@@ -86,7 +67,7 @@ class HomogeneousPoly:
         return out if len(out) != 1 else float(out[0])
 
     def multiply(self, other):
-        return HomogeneousPoly.from_vector(np.convolve(self.vec, other.vec))
+        return HomogeneousPoly(np.convolve(self.vec, other.vec))
 
     def to_json_obj(self):
         c = self.coeffs
@@ -94,8 +75,19 @@ class HomogeneousPoly:
 
     @classmethod
     def from_json_obj(cls, dim, degree, obj):
-        return cls(dim, degree,
-                   {tuple(e["exponents"]): e["coeff"] for e in obj})
+        """The polynomial of the terms [{"exponents": [i, j], "coeff": c}]
+        that `to_json_obj` writes, each term of degree i + j = degree."""
+        if dim != 2:
+            raise DimensionError("homogeneous polynomials are planar (dim 2)")
+        vec = np.zeros(degree + 1)
+        for term in obj:
+            k = tuple(term["exponents"])
+            if len(k) != 2:
+                raise DimensionError(f"exponent {k} has wrong length")
+            if sum(k) != degree or min(k) < 0:
+                raise ValueError(f"exponent {k} does not sum to {degree}")
+            vec[k[1]] = term["coeff"]
+        return cls(vec)
 
 
 def linear_form_power(w, n):
@@ -105,7 +97,7 @@ def linear_form_power(w, n):
         raise DimensionError("linear forms are planar (length 2)")
     k = np.arange(n + 1)
     binom = np.array([float(math.comb(n, j)) for j in k])
-    return HomogeneousPoly.from_vector(binom * w[0] ** (n - k) * w[1] ** k)
+    return HomogeneousPoly(binom * w[0] ** (n - k) * w[1] ** k)
 
 
 def _times_form(vecs, form):
@@ -168,7 +160,7 @@ def homogenize_even(parts, line, target_degree):
     r = min(len(parts), target_degree + 1)
     padded = np.zeros((target_degree + 1, target_degree + 1))
     padded[:r, :r] = parts[:r, :r]
-    return HomogeneousPoly.from_vector(_lift_graded(padded, w))
+    return HomogeneousPoly(_lift_graded(padded, w))
 
 
 def cheb_nodes(n):

@@ -217,7 +217,7 @@ def approximate_unities(body, ns, h=None):
         cs, w, e, lo, hi = _patch_coeffs(body, sphere_patches(mesh, 2), mesh,
                                          targets, radius)
         for i, rows in zip(idx, _lift_cheb(cs, w, e, lo, hi, targets)):
-            out[i] = HomogeneousPoly.from_vector(rows.sum(axis=0))
+            out[i] = HomogeneousPoly(rows.sum(axis=0))
     return out
 
 

@@ -77,7 +77,7 @@ def test_criterion_2_homogenization_lift_and_suppression():
             e = line.tangent_frame()
             s = rng.uniform(-3, 3, 50)
             pts = line.foot()[None, :] + s[:, None] * e[None, :]
-            p = sum(HomogeneousPoly.from_vector(row[:d + 1])(pts)
+            p = sum(HomogeneousPoly(row[:d + 1])(pts)
                     for d, row in enumerate(parts))
             scale = 1 + np.max(np.abs(p))
             assert np.max(np.abs(h(pts) - p)) < 1e-10 * scale
@@ -98,8 +98,7 @@ def test_criterion_2_homogenization_lift_and_suppression():
             # normalize |h| <= 1 on the on-patch segment of the line
             s = np.linspace(-4 * delta, 4 * delta, 2001)
             seg = a[None, :] + s[:, None] * e[None, :]
-            h = HomogeneousPoly.from_vector(
-                1.0 / np.max(np.abs(h(seg))) * h.vec)
+            h = HomogeneousPoly(1.0 / np.max(np.abs(h(seg))) * h.vec)
             # sample strictly off-patch and pull x/t back into the body
             s2 = rng.uniform(4 * delta + 1e-9, 25.0, 1000)
             s2 *= rng.choice([-1.0, 1.0], 1000)
@@ -166,7 +165,7 @@ def test_criterion_5_weighted_homogeneous_identity():
                 lim = w.rho ** n
                 for _ in range(21):
                     a = rng.standard_normal(n + 1)
-                    h = HomogeneousPoly.from_vector(a)
+                    h = HomogeneousPoly(a)
                     ref = wn * np.polynomial.polynomial.polyval(t, a)
                     scale = 1 + np.max(np.abs(ref))
                     assert np.max(np.abs(h(pts) - ref)) < 1e-10 * scale

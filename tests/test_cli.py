@@ -84,6 +84,10 @@ def test_polygon_vertices_on_one_ray_are_config_error(tmp_path, capsys,
     '{"type": "disk", "radius": 0}',
     '{"type": "disk", "radius": -1}',
     '{"type": "disk", "dim": 3}',
+    '{"type": "disk", "semi_axes": [2, 1]}',
+    '{"type": "square", "vertices": [[3, 0], [0, 1], [-3, 0], [0, -1]]}',
+    '{"type": "disk", "radius": "2"}',
+    '{"type": "pnorm", "p": true}',
     '{"type": "pnorm", "p": 1e400}',
     '{"type": "polygon", "vertices": [[2, 0], [0.5, 0.5], [0, 2], [-0.5, 0.5],'
     ' [-2, 0], [-0.5, -0.5], [0, -2], [0.5, -0.5]]}',
@@ -253,6 +257,7 @@ def test_partition_diag_and_check_weight(tmp_path):
                 "route": "geometric"}, "n"),
     ("approx", {"body": {"type": "square"}, "f": "x", "n": 16,
                 "route": "geometric"}, "route"),
+    ("unity", {"body": {"type": "square"}, "n": 16}, "body"),
     ("approx", {"body": {"type": "disk"}, "f": "x", "n": 9, "route": "auto"},
      "route"),
     ("approx", {"body": {"type": "disk"}, "f": "x", "n": 129}, "n"),
@@ -262,7 +267,8 @@ def test_partition_diag_and_check_weight(tmp_path):
     ("check-weight", {"weight": {"type": "expr", "w": "1/("}}, "weight/w"),
 ], ids=["unity-h-0", "unity-h-1.5", "partition-h-1.5", "samples-0",
         "samples-negative", "grid-0", "grid-negative", "n_list-empty",
-        "n_list-repeated", "geometric-n-6", "geometric-square", "route-auto",
+        "n_list-repeated", "geometric-n-6", "geometric-square",
+        "unity-square", "route-auto",
         "planar-n-above-cap", "n_list-above-cap", "power-m-0",
         "expr-w-unparsable"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, sub, obj, key):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from homapprox import (BoundaryPointError, ConvexBody, DimensionError,
                        HomogeneousPoly)
@@ -171,8 +172,28 @@ def test_is_smooth_classification():
     assert ConvexBody.disk().is_smooth()
     assert ConvexBody.ellipse(2.0, 1.0).is_smooth()
     assert ConvexBody.pnorm_ball(4.0).is_smooth()
+    assert _radial_body().is_smooth()
     assert not ConvexBody.square().is_smooth()
     assert not ConvexBody.pnorm_ball(1.0).is_smooth()
+    assert not ConvexBody.pnorm_ball(1.5).is_smooth()
+
+
+def test_delta_is_largest_boundary_radius():
+    """delta_K against 100k boundary angles for every kind (the polygons'
+    vertices lie on the angle grid), and the unit disk's gauge and gradient
+    are the Euclidean norm and x / |x| bit for bit."""
+    theta = np.linspace(0, 2 * np.pi, 100_000, endpoint=False)
+    for body in (ConvexBody.disk(), ConvexBody.disk(2.0),
+                 ConvexBody.ellipse(2.0, 1.0), ConvexBody.square(0.5),
+                 ConvexBody.pnorm_ball(1.0, (2.0, 0.5)),
+                 ConvexBody.pnorm_ball(4.0, (2.0, 0.5)), _radial_body()):
+        radius = np.max(body.boundary_at(theta)[1])
+        assert body.delta() == pytest.approx(radius, rel=1e-9), body
+    x = np.random.default_rng(6).standard_normal((1000, 2))
+    disk = ConvexBody.disk()
+    assert np.array_equal(disk.gauge(x), np.linalg.norm(x, axis=-1))
+    assert np.array_equal(disk.gauge_gradient(x),
+                          x / np.linalg.norm(x, axis=-1, keepdims=True))
 
 
 def test_radial_samples_body():
@@ -229,9 +250,23 @@ def test_corners_are_polygon_vertices_only():
         assert body.corners().shape == (0, 2)
 
 
-def _radial_body(amp=0.1, phase=0.0, samples=64):
+def _radial_samples(amp=0.1, phase=0.0, samples=64):
     th = np.linspace(0, np.pi, samples, endpoint=False)
-    return ConvexBody.radial_samples(th, 1.0 + amp * np.cos(2 * th + phase))
+    return th, 1.0 + amp * np.cos(2 * th + phase)
+
+
+def _radial_body(amp=0.1, phase=0.0, samples=64):
+    return ConvexBody.radial_samples(*_radial_samples(amp, phase, samples))
+
+
+def _radial_interp(amp=0.1, phase=0.0, samples=64):
+    """r(theta) of _radial_body, interpolated as radial_samples does: the
+    samples and their antipodes at angles rounded to 12 digits, padded by one
+    period on each side."""
+    th, r = _radial_samples(amp, phase, samples)
+    ang = np.round(np.concatenate([th, th + np.pi]), 12)
+    ang = np.concatenate([ang - 2 * np.pi, ang, ang + 2 * np.pi])
+    return PchipInterpolator(ang, np.tile(np.concatenate([r, r]), 3))
 
 
 def _zonogon(angles, lengths):
@@ -264,7 +299,7 @@ def test_weight_qp_matches_closed_forms():
 
     # radial: Q = log sqrt(1+t^2) - log r(atan t), knots of the interpolant included
     body = _radial_body()
-    interp = body.params["interp"]
+    interp = _radial_interp()
     theta = np.arctan(t)
     ref = t / (1 + t ** 2) - interp.derivative()(theta) / (interp(theta) * (1 + t ** 2))
     qp = body.weight().Qp(t)
@@ -282,7 +317,7 @@ def test_weight_rho_kinks_and_provenance():
         (ConvexBody.pnorm_ball(1.0, (2.0, 0.5)), 0.5, (0.0,)),
         (ConvexBody.square(0.5), 0.5, (-1.0, 1.0)),
         (hexagon, 1.5, (-1.0, 0.5)),
-        (radial, float(radial.params["interp"](np.pi / 2)), ()),
+        (radial, float(_radial_interp()(np.pi / 2)), ()),
     ]
     for body, rho, kinks in expected:
         w = body.weight()
@@ -335,10 +370,10 @@ def test_weight_identity_property(body, n, ts, seed):
     assert np.array_equal(w.W(t), pts[:, 0])
 
     a = np.random.default_rng(seed).standard_normal(n + 1)
-    h = HomogeneousPoly.from_vector(a)
+    h = HomogeneousPoly(a)
     ref = w.W(t) ** n * np.polynomial.polynomial.polyval(t, a)
     # rounding is relative to the sum of the terms' sizes, not to their sum
-    size = HomogeneousPoly.from_vector(np.abs(a))(np.abs(pts))
+    size = HomogeneousPoly(np.abs(a))(np.abs(pts))
     assert np.all(np.abs(h(pts) - ref) <= 1e-13 * (n + 1) * size)
     top = h(np.array([0.0, w.rho]))
     assert top == pytest.approx(a[n] * w.rho ** n, rel=1e-13, abs=1e-300)

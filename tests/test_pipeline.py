@@ -264,7 +264,7 @@ def _theorem1_one_multiplier_at_a_time(body, f, n, m):
     sums = [np.zeros(2 * n + 1), np.zeros(2 * n + 2)]
     cache, bound = {}, 0.0
     for deg, part in enumerate(parts):
-        hj = HomogeneousPoly.from_vector(part[:deg + 1])
+        hj = HomogeneousPoly(part[:deg + 1])
         n_u = n - deg // 2
         if n_u not in cache:
             u = approximate_unity(body, n_u)
@@ -272,7 +272,7 @@ def _theorem1_one_multiplier_at_a_time(body, f, n, m):
         u, uerr = cache[n_u]
         sums[deg % 2] += hj.multiply(u).vec
         bound += float(np.max(np.abs(hj(pts)))) * uerr
-    h_even, h_odd = map(HomogeneousPoly.from_vector, sums)
+    h_even, h_odd = map(HomogeneousPoly, sums)
     return h_even, h_odd, bound
 
 

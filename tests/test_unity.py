@@ -62,17 +62,18 @@ def test_error_report_exact_cases():
     body = ConvexBody.disk()
     # (x^2 + y^2)^8 is exactly 1 on the circle
     from math import comb
-    exact = HomogeneousPoly(2, 16, {(16 - 2 * j, 2 * j): float(comb(8, j))
-                                    for j in range(9)})
+    vec = np.zeros(17)
+    vec[::2] = [comb(8, j) for j in range(9)]
+    exact = HomogeneousPoly(vec)
     rep = unity_error_report(body, exact)
     assert rep.sup_error < 1e-12
-    zero = HomogeneousPoly(2, 16)
+    zero = HomogeneousPoly(np.zeros(17))
     assert unity_error_report(body, zero).sup_error == pytest.approx(1.0)
 
 
 def test_error_report_rejects_odd_degree():
     with pytest.raises(ValueError):
-        unity_error_report(ConvexBody.disk(), HomogeneousPoly(2, 3))
+        unity_error_report(ConvexBody.disk(), HomogeneousPoly(np.zeros(4)))
 
 
 def test_non_smooth_body_rejected():

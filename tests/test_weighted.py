@@ -120,7 +120,7 @@ def test_conversion_matches_on_boundary_and_at_infinity():
     w = body.weight()
     f = CompactifiedFunction(lambda t: np.exp(-t ** 2), 0.0, 0.0)
     wa = weighted_minimax(f, w, 8)
-    h = HomogeneousPoly.from_vector(wa.monomial_coeffs())
+    h = HomogeneousPoly(wa.monomial_coeffs())
     t = np.linspace(-50, 50, 801)
     pts = body.slope_points(t)
     lhs = h(pts)
@@ -151,7 +151,7 @@ def test_eval_points_matches_monomial_homogeneous():
     w = body.weight()
     f = CompactifiedFunction(lambda t: 1.0 / (1 + t ** 2), 0.0, 0.0)
     wa = weighted_minimax(f, w, 10)
-    h = HomogeneousPoly.from_vector(wa.monomial_coeffs())
+    h = HomogeneousPoly(wa.monomial_coeffs())
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.5, 1.5, size=(200, 2))
     scale = 1 + np.max(np.abs(h(pts)))
@@ -231,7 +231,7 @@ def test_exchange_error_matches_fresh_fine_grid():
     square = ConvexBody.square()
     (wa_e, wa_o), f = _expcos_pair(square, (32, 31))
     pts = np.vstack([square.boundary_points(400_000),
-                     square.params["vertices"]])
+                     square.corners()])
     fresh = np.max(np.abs(f(pts) - wa_e.eval_points(pts)
                           - wa_o.eval_points(pts)))
     assert abs(wa_e.sup_error - fresh) <= 1e-3 * fresh
