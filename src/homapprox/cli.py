@@ -250,6 +250,7 @@ def _run_equilibrium(cfg, out):
         "mass": em.mass(),
         "robin_constant": em.robin_constant(),
         "identity_deviation": equilibrium_check(em),
+        "support_residual": em.support_residual(),
     })
     return ["density.csv", "equilibrium.json"]
 
@@ -259,12 +260,8 @@ def _run_wapprox(cfg, out):
     if ("weight" in cfg) == ("body" in cfg):
         raise ConfigError("exactly one of weight/body is required",
                           pointer="/weight")
-    if "weight" in cfg:
-        w = _build_weight(cfg["weight"], "/weight")
-        body = None
-    else:
-        body = _build_body(cfg["body"], "/body")
-        w = body.weight()
+    w = (_build_weight(cfg["weight"], "/weight") if "weight" in cfg
+         else _build_body(cfg["body"], "/body").weight())
     f, ftext = _parse_f(cfg, line_function)
     n_list = _require(cfg, "n_list", list)
     if not n_list:

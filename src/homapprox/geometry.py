@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
 from .errors import BoundaryPointError, ConfigError, DimensionError
@@ -57,6 +57,13 @@ def _lengths(values, count, what):
     if not np.all(np.isfinite(arr) & (arr > 0)):
         raise ValueError(f"{what} must be finite and positive")
     return arr
+
+
+def _numeric(value):
+    """A number other than a bool, or lists of such nested to any depth."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_numeric, value))
+    return np.asarray(value).dtype.kind in "iuf"
 
 
 class ConvexBody:
@@ -167,45 +174,38 @@ class ConvexBody:
 
     @classmethod
     def radial_samples(cls, angles, radii):
-        """Planar body from samples of r(theta); even symmetry is enforced."""
-        ang = np.asarray(angles, dtype=float) % (2 * np.pi)
+        """Planar body whose r(theta) is the pi-periodic C^2 cubic spline
+        through the samples (r(theta + pi) = r(theta) is the symmetry), accepted
+        when its curvature form r^2 + 2 r'^2 - r r'' is >= 0 on a dense grid."""
+        ang = np.asarray(angles, dtype=float)
         rad = np.asarray(radii, dtype=float)
         if not np.all(np.isfinite(ang) & (rad > 0) & np.isfinite(rad)):
             raise ValueError("radial samples must be finite, radii positive")
-        # symmetrize: r(theta) and r(theta + pi) both contribute
-        ang_full = np.concatenate([ang, (ang + np.pi) % (2 * np.pi)])
-        rad_full = np.concatenate([rad, rad])
-        order = np.argsort(ang_full)
-        ang_full, rad_full = ang_full[order], rad_full[order]
-        ang_full, idx = np.unique(np.round(ang_full, 12), return_index=True)
-        rad_full = rad_full[idx]
-        # periodic pad for monotone cubic interpolation
-        ang_ext = np.concatenate([ang_full - 2 * np.pi, ang_full, ang_full + 2 * np.pi])
-        rad_ext = np.tile(rad_full, 3)
-        interp = PchipInterpolator(ang_ext, rad_ext)
-        dinterp = interp.derivative()
+        ang = ang % np.pi
+        # angles equal at 12 digits count once, and one that rounds to pi as 0
+        idx = np.unique(np.round(ang, 12) % round(np.pi, 12), return_index=True)[1]
+        idx = idx[np.argsort(ang[idx])]
+        interp = CubicSpline(np.append(ang[idx], ang[idx[0]] + np.pi),
+                             rad[np.append(idx, idx[0])], bc_type="periodic")
+        # 16 angles per knot interval, the knots included
+        theta = np.interp(np.arange(16 * len(idx)) / 16, np.arange(len(idx) + 1),
+                          interp.x)
+        r, dr, ddr = (interp(theta, k) for k in range(3))
+        if np.min(r ** 2 + 2 * dr ** 2 - r * ddr) < -1e-9 * np.max(r) ** 2:
+            raise ValueError("radial samples do not describe a convex body")
 
         def gauge(x):
             # |x| / r(theta)
-            theta = np.arctan2(x[..., 1], x[..., 0]) % (2 * np.pi)
-            return np.linalg.norm(x, axis=-1) / interp(theta)
+            return np.linalg.norm(x, axis=-1) / interp(np.arctan2(x[..., 1], x[..., 0]))
 
         def gradient(x):
             # grad(|x|/r(theta)) = (x + r'(theta)/r(theta) (y, -x)) / (|x| r(theta))
-            theta = np.arctan2(x[..., 1], x[..., 0]) % (2 * np.pi)
-            r = interp(theta)[..., None]
-            dr = dinterp(theta)[..., None]
+            theta = np.arctan2(x[..., 1], x[..., 0])
+            r, dr = (interp(theta, k)[..., None] for k in range(2))
             turn = np.stack([x[..., 1], -x[..., 0]], axis=-1)
             return (x + dr / r * turn) / (np.linalg.norm(x, axis=-1, keepdims=True) * r)
 
-        body = cls("radial", gauge, gradient)
-        pts = body.boundary_points(512)
-        edges = np.diff(np.vstack([pts, pts[:1]]), axis=0)
-        cross = edges[:-1, 0] * edges[1:, 1] - edges[:-1, 1] * edges[1:, 0]
-        scale = np.max(np.abs(cross))
-        if np.any(cross < -1e-8 * (1 + scale)):
-            raise ValueError("radial samples do not describe a convex body")
-        return body
+        return cls("radial", gauge, gradient)
 
     @classmethod
     def from_config(cls, spec):
@@ -236,7 +236,7 @@ class ConvexBody:
             if key not in required + optional:
                 raise ConfigError(f"body type {name!r} takes no key {key!r}",
                                   pointer=f"/{key}")
-            if np.asarray(args[key]).dtype.kind not in "iuf":
+            if not _numeric(args[key]):
                 raise ConfigError(f"{key} must be numeric", pointer=f"/{key}")
         return factory(**args)
 
@@ -325,7 +325,7 @@ class ConvexBody:
         side = verts[:, 0] != 0
         kinks = tuple(np.unique(verts[side, 1] / verts[side, 0]).tolist())
         return Weight(w_fn=w_fn, qp_fn=qp_fn, rho=float(self.radial(np.array([0.0, 1.0]))),
-                      lower_accuracy=self.kind == "radial", kinks=kinks)
+                      kinks=kinks)
 
     # ---------------------------------------------------------------- misc
 

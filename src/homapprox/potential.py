@@ -31,7 +31,6 @@ class Weight:
     w_fn: object
     qp_fn: object
     rho: float
-    lower_accuracy: bool = False
     kinks: tuple = ()
 
     def W(self, t):
@@ -104,30 +103,26 @@ class WeightDiagnostics:
         return self.cond1_ok and self.cond2_ok
 
 
-def _convexity_scan(vals, tol):
-    """Whether vals are finite, positive and convex up to tol on the grid."""
+def _convexity_scan(vals):
+    """Whether vals are finite, positive and convex up to _CONVEXITY_TOL."""
     if np.any(~np.isfinite(vals)) or np.any(~(vals > 0)):
         return False
     second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
-    return bool(np.min(second) >= -tol * max(1.0, np.max(np.abs(vals))))
+    return bool(np.min(second) >= -_CONVEXITY_TOL * max(1.0, np.max(np.abs(vals))))
 
 
 def check_weight(w):
     """Diagnose the two positivity/convexity conditions on a uniform grid."""
-    tol = _CONVEXITY_TOL * (10 if w.lower_accuracy else 1)
     ts = np.linspace(-20.0, 20.0, 2001)
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        phi1 = 1.0 / w.W(ts)
-
-    # |t| / W(-1/t); the value at t = 0 is the limit 1/rho
+    # phi2 = |t| / W(-1/t); the value at t = 0 is the limit 1/rho
     phi2 = np.empty_like(ts)
     nz = ts != 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        phi1 = 1.0 / w.W(ts)
         phi2[nz] = np.abs(ts[nz]) / w.W(-1.0 / ts[nz])
         phi2[~nz] = np.divide(1.0, w.rho)
-    return WeightDiagnostics(cond1_ok=_convexity_scan(phi1, tol),
-                             cond2_ok=_convexity_scan(phi2, tol), rho=w.rho)
+    return WeightDiagnostics(cond1_ok=_convexity_scan(phi1),
+                             cond2_ok=_convexity_scan(phi2), rho=w.rho)
 
 
 # ------------------------------------------------------------------ MRS support
@@ -252,6 +247,11 @@ class EquilibriumMeasure:
         support, so it does not certify the support; `mrs_support` does."""
         xi = cheb_nodes(4000)
         return float(self.half * np.mean(1.0 / self.half - self.lam * self._S(xi)))
+
+    def support_residual(self):
+        """Largest endpoint residual |F0|, |F1| (`_gc_moments`) at (a, b);
+        a wrong support moves it, where `mass` and `equilibrium_check` hold."""
+        return float(np.max(np.abs(_gc_moments(self.weight, self.lam, self.a, self.b))))
 
     def log_integral(self, x):
         """int log|t - x| V(t) dt, evaluated spectrally for x in the support."""

@@ -9,6 +9,7 @@ import pytest
 from homapprox import ConvexBody, HomogeneousPoly, approximate_unity
 from homapprox.cli import main, run
 from homapprox.errors import ConfigError
+from homapprox.potential import _SUPPORT_TOL, density
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -88,6 +89,9 @@ def test_polygon_vertices_on_one_ray_are_config_error(tmp_path, capsys,
     '{"type": "square", "vertices": [[3, 0], [0, 1], [-3, 0], [0, -1]]}',
     '{"type": "disk", "radius": "2"}',
     '{"type": "pnorm", "p": true}',
+    '{"type": "ellipse", "semi_axes": [2, true]}',
+    '{"type": "polygon", "vertices": [[1, 0], [0, true], [-1, 0], [0, -1]]}',
+    '{"type": "radial-samples", "angles": [0, 1, 2], "radii": [1, true, 1]}',
     '{"type": "pnorm", "p": 1e400}',
     '{"type": "polygon", "vertices": [[2, 0], [0.5, 0.5], [0, 2], [-0.5, 0.5],'
     ' [-2, 0], [-0.5, -0.5], [0, -2], [0.5, -0.5]]}',
@@ -110,6 +114,11 @@ def test_equilibrium_run_and_lam_guard(tmp_path, capsys):
     assert data["mass"] == pytest.approx(1.0, abs=1e-6)
     assert data["identity_deviation"] < 1e-4
     assert data["support"][1] == pytest.approx(np.sqrt(3.0), rel=1e-8)
+    # the one key that a wrong support moves
+    assert data["support_residual"] <= _SUPPORT_TOL
+    w = ConvexBody.disk().weight()
+    wide = density(w, 2.0, tuple(1.05 * np.array(data["support"])))
+    assert wide.support_residual() > _SUPPORT_TOL
     # lam can be overridden on the command line; lam = 1 is a config error
     rc = main(["equilibrium", "--config", cfg, "--lam", "1.0",
                "--out", str(tmp_path / "eq2")])

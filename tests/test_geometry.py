@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicSpline
 
 from homapprox import (BoundaryPointError, ConvexBody, DimensionError,
                        HomogeneousPoly)
 from homapprox.geometry import SupportLine
+from homapprox.potential import check_weight
 
 
 def bodies():
@@ -260,13 +261,39 @@ def _radial_body(amp=0.1, phase=0.0, samples=64):
 
 
 def _radial_interp(amp=0.1, phase=0.0, samples=64):
-    """r(theta) of _radial_body, interpolated as radial_samples does: the
-    samples and their antipodes at angles rounded to 12 digits, padded by one
-    period on each side."""
+    """r(theta) of _radial_body, built apart from radial_samples: the
+    2 pi-periodic cubic spline through the samples and their antipodes."""
     th, r = _radial_samples(amp, phase, samples)
-    ang = np.round(np.concatenate([th, th + np.pi]), 12)
-    ang = np.concatenate([ang - 2 * np.pi, ang, ang + 2 * np.pi])
-    return PchipInterpolator(ang, np.tile(np.concatenate([r, r]), 3))
+    ang = np.concatenate([th, th + np.pi, th[:1] + 2 * np.pi])
+    return CubicSpline(ang, np.concatenate([r, r, r[:1]]), bc_type="periodic")
+
+
+def test_radial_family_builds_and_passes_check_weight():
+    """Every body r = 1 + a cos(2 theta + phi) of the property test's family,
+    on a fixed grid of (a, phi) plus a draw that a C^1 interpolant made
+    non-convex, is accepted and its weight passes check_weight."""
+    grid = [(a, phi) for a in np.linspace(0, 0.1, 21)
+            for phi in np.linspace(0, np.pi, 33)]
+    for amp, phase in grid + [(0.09765625, 1.328125)]:
+        assert check_weight(_radial_body(amp, phase).weight()).ok, (amp, phase)
+
+
+def test_radial_samples_of_an_ellipse_follow_its_gauge():
+    """The radii of the ellipse (2, 1) at 64 angles give a body whose gauge
+    is the ellipse's within 5e-6 relative, and whose weight passes."""
+    ellipse = ConvexBody.ellipse(2.0, 1.0)
+    th = np.linspace(0, np.pi, 64, endpoint=False)
+    body = ConvexBody.radial_samples(th, ellipse.boundary_at(th)[1])
+    x = np.random.default_rng(8).standard_normal((2000, 2))
+    assert np.max(np.abs(body.gauge(x) / ellipse.gauge(x) - 1)) < 5e-6
+    assert check_weight(body.weight()).ok
+
+
+def test_radial_samples_reject_a_non_convex_outline():
+    """r = 1 + a cos 2 theta has curvature form (1 - a)(1 - 5a) at pi/2,
+    negative for a = 0.25."""
+    with pytest.raises(ValueError, match="not describe a convex body"):
+        _radial_body(0.25)
 
 
 def _zonogon(angles, lengths):
@@ -323,7 +350,7 @@ def test_weight_rho_kinks_and_provenance():
         w = body.weight()
         assert w.rho == pytest.approx(rho, rel=1e-14), body
         assert w.kinks == pytest.approx(kinks, rel=1e-14), body
-        assert w.lower_accuracy == (body.kind == "radial")
+        assert check_weight(w).ok, body
 
 
 def test_gauge_gradient_vectorized_matches_single_points():
