@@ -44,6 +44,10 @@ def _check_type(value, types, pointer):
         names = types.__name__ if not isinstance(types, tuple) else \
             "/".join(t.__name__ for t in types)
         raise ConfigError(f"expected {names}", pointer=pointer)
+    # JSON reads 1e400 as inf and NaN as nan
+    if isinstance(value, float) and not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {value}",
+                          pointer=pointer)
 
 
 def _validate_keys(obj, allowed, pointer=""):

@@ -185,7 +185,10 @@ class _Parser:
             raise ExprError(f"unexpected end of expression at column {col}",
                             column=col)
         if tok.kind == "num":
-            return Node("num", tok.column, value=float(tok.text))
+            if not np.isfinite(value := float(tok.text)):
+                raise ExprError(f"number {tok.text!r} is not finite at column "
+                                f"{tok.column}", column=tok.column)
+            return Node("num", tok.column, value=value)
         if tok.kind == "ident":
             if tok.text in _FUNCS:
                 self.expect_op("(")

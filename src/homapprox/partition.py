@@ -47,43 +47,27 @@ def g_1d(k, x):
 
 
 def g_k(k, h, x):
-    """Tensor bump prod_j g_{k_j}(6 x_j / h); vectorized over points."""
-    x = np.asarray(x, dtype=float)
-    k = tuple(int(v) for v in np.atleast_1d(k))
-    if x.ndim == 1 and len(k) == 1 and x.shape[0] != 1:
-        x = x[:, None]
-    xi = 6.0 * x / h
-    if xi.ndim == 1:
-        xi = xi[None, :]
-    vals = np.ones(xi.shape[0])
-    for j, kj in enumerate(k):
-        vals = vals * g_1d(kj, xi[:, j])
+    """Tensor bump prod_j g_{k_j}(6 x_j / h) at the rows of x; in 1-D x may be
+    one flat array of points, and one point may be one vector."""
+    k = np.atleast_1d(np.asarray(k, dtype=int))
+    xi = 6.0 * np.asarray(x, dtype=float).reshape(-1, len(k)) / h
+    vals = np.prod(g_1d(k, xi), axis=1)
     return vals if len(vals) != 1 else float(vals[0])
 
 
-def _support_1d(k, h):
-    """|x| range of the support of g_{k}(6 x / h)."""
-    if k == 0:
-        return 0.0, h / 2.0
-    return max(0.0, (4 * k - 3) * h / 6.0), (4 * k + 3) * h / 6.0
-
-
 def active_indices(h, d):
-    """Multi-indices whose support cubes intersect the unit sphere."""
+    """Multi-indices whose support cubes intersect the unit sphere: the
+    (cells, d) int array of rows k in lexicographic order."""
     if not (0 < h <= 1):
         raise ValueError("h must be in (0, 1]")
     kmax = int(np.floor((6.0 / h + 3.0) / 4.0)) + 1
-    out = []
-    ranges = [range(kmax + 1)] * d
-    for k in itertools.product(*ranges):
-        lo2 = hi2 = 0.0
-        for kj in k:
-            lo, hi = _support_1d(kj, h)
-            lo2 += lo * lo
-            hi2 += hi * hi
-        if lo2 <= 1.0 <= hi2:
-            out.append(k)
-    return out
+    k = np.indices((kmax + 1,) * d).reshape(d, -1).T
+    # g_{k_j}(6 x / h) lives on lo_j <= |x| <= hi_j, so cell k meets the
+    # sphere when |lo| <= 1 <= |hi|
+    lo = np.maximum(0.0, (4 * k - 3) * h / 6.0)
+    hi = np.where(k == 0, h / 2.0, (4 * k + 3) * h / 6.0)
+    meets = (np.sum(lo * lo, axis=1) <= 1.0) & (1.0 <= np.sum(hi * hi, axis=1))
+    return k[meets]
 
 
 def partition_sum_and_overlap(points, h):
@@ -92,24 +76,12 @@ def partition_sum_and_overlap(points, h):
     For each coordinate at most two 1-D members are nonzero, so the full sum
     over Z^d_+ reduces to a product of small per-coordinate sums.
     """
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = x.shape
-    xi = 6.0 * np.abs(x) / h
-    total = np.ones(n)
-    counts = np.ones(n)
-    for j in range(d):
-        v = xi[:, j]
-        base = np.round(v / 4.0).astype(int)   # v >= 0, so base >= 0
-        s = np.zeros(n)
-        c = np.zeros(n)
-        for off in (-1, 0, 1):
-            k = base + off
-            vals = np.where(k < 0, 0.0, g_1d(k, v))
-            s += vals
-            c += vals > 0
-        total *= s
-        counts *= c
-    return total, counts.astype(int)
+    xi = 6.0 * np.abs(np.atleast_2d(np.asarray(points, dtype=float))) / h
+    # each coordinate's nearest index and its neighbours (-1 is no member)
+    k = np.round(xi / 4.0).astype(int)[..., None] + np.array([-1, 0, 1])
+    vals = np.where(k < 0, 0.0, g_1d(k, xi[..., None]))
+    s = vals[..., 0] + vals[..., 1] + vals[..., 2]
+    return np.prod(s, axis=1), np.prod(np.sum(vals > 0, axis=2), axis=1)
 
 
 def anchor_directions(centers):
@@ -142,17 +114,12 @@ def sphere_patches(h, d):
     the scaled coordinates xi = 6 u / h, for each active multi-index k and
     sign pattern s.  A patch's positive cube is centered at its row * h / 6.
     """
-    offsets = []
-    for k in active_indices(h, d):
-        nz = [j for j, kj in enumerate(k) if kj > 0]
-        if not nz:
-            # the all-zero cube [-h/2, h/2]^d cannot reach the sphere for h <= 1
-            raise AssertionError("zero multi-index unexpectedly active")
-        # sign patterns modulo a global flip: first nonzero coordinate fixed +
-        # (a zero k_j shifts by 0 whatever its sign)
-        for tail in itertools.product((1, -1), repeat=len(nz) - 1):
-            signs = np.ones(d, dtype=int)
-            signs[nz[1:]] = tail
-            offsets.append(4 * np.array(k) * signs)
-    return np.array(offsets, dtype=float)
-
+    k = active_indices(h, d)
+    if not np.all(np.any(k, axis=1)):
+        raise ValueError("the zero cell meets the unit sphere: d h^2 >= 4")
+    signs = np.array(list(itertools.product((1, -1), repeat=d)))
+    # sign patterns modulo a global flip: a row's first nonzero coordinate
+    # keeps +, and so do its zeros (a zero k_j shifts by 0 whatever its sign)
+    free = (k > 0) & (np.arange(d) > np.argmax(k > 0, axis=1)[:, None])
+    rows, pats = np.nonzero(np.all((signs == 1) | free[:, None, :], axis=2))
+    return (4 * k[rows] * signs[pats]).astype(float)

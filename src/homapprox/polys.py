@@ -80,12 +80,20 @@ class HomogeneousPoly:
         if dim != 2:
             raise DimensionError("homogeneous polynomials are planar (dim 2)")
         vec = np.zeros(degree + 1)
+        seen = set()
         for term in obj:
+            if "exponents" not in term or "coeff" not in term:
+                raise ValueError(f"term {term} needs exponents and coeff")
             k = tuple(term["exponents"])
             if len(k) != 2:
                 raise DimensionError(f"exponent {k} has wrong length")
+            if not all(type(e) is int for e in k):
+                raise ValueError(f"exponent {k} is not a pair of integers")
             if sum(k) != degree or min(k) < 0:
                 raise ValueError(f"exponent {k} does not sum to {degree}")
+            if k in seen:
+                raise ValueError(f"exponent {k} is repeated")
+            seen.add(k)
             vec[k[1]] = term["coeff"]
         return cls(vec)
 

@@ -285,8 +285,13 @@ def density(w, lam, support):
             break
         n *= 2
         if n > _DENSITY_CAP:
+            # Q' jumps at a kink, and no expansion of a jump converges
+            kinks = ", ".join(f"{k:.17g}" for k in w.kinks if a < k < b)
+            why = (f": W has a kink at t = {kinks} inside the support "
+                   f"[{a:.17g}, {b:.17g}], and the density needs a weight "
+                   f"with no kink inside the support" if kinks else "")
             raise QuadratureError(f"Chebyshev expansion of Q' tail above "
-                                  f"{_TAIL_TOL} at cap {_DENSITY_CAP}")
+                                  f"{_TAIL_TOL} at cap {_DENSITY_CAP}{why}")
     cu = _t_to_u_coeffs(ct)
     return EquilibriumMeasure(lam=lam, a=a, b=b, weight=w, _cu=cu)
 

@@ -126,6 +126,17 @@ def test_equilibrium_run_and_lam_guard(tmp_path, capsys):
     assert "/lam" in capsys.readouterr().err
 
 
+def test_equilibrium_of_a_kinked_weight_names_the_kink(tmp_path, capsys):
+    # the square's weight has kinks at t = -1 and 1, inside its support
+    cfg = write_cfg(tmp_path, {
+        "weight": {"type": "body", "body": {"type": "square"}}, "lam": 2.0})
+    out = tmp_path / "eq"
+    assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "kink at t = -1, 1 inside the support" in err
+    assert not out.exists()
+
+
 def test_wapprox_trivial_oracle_and_reload(tmp_path):
     cfg = write_cfg(tmp_path, {
         "body": {"type": "disk"}, "f": "1/(1+t^2)", "n_list": [2, 4]})
@@ -274,12 +285,24 @@ def test_partition_diag_and_check_weight(tmp_path):
                  "n_list": [2, 130]}, "n_list/1"),
     ("check-weight", {"weight": {"type": "power", "m": 0}}, "weight/m"),
     ("check-weight", {"weight": {"type": "expr", "w": "1/("}}, "weight/w"),
+    # json.dumps writes inf and nan as Infinity and NaN, which json.loads
+    # reads back, as it reads 1e400 as inf
+    ("equilibrium", {"weight": {"type": "body", "body": {"type": "disk"}},
+                     "lam": float("inf")}, "lam"),
+    ("equilibrium", {"weight": {"type": "body", "body": {"type": "disk"}},
+                     "lam": float("nan")}, "lam"),
+    ("check-weight", {"weight": {"type": "power", "m": float("inf")}},
+     "weight/m"),
+    ("wapprox", {"weight": {"type": "power", "m": float("inf")},
+                 "f": "1/(1+t^2)", "n_list": [2]}, "weight/m"),
+    ("approx", {"body": {"type": "disk"}, "f": "1e400", "n": 9}, "f"),
 ], ids=["unity-h-0", "unity-h-1.5", "partition-h-1.5", "samples-0",
         "samples-negative", "grid-0", "grid-negative", "n_list-empty",
         "n_list-repeated", "geometric-n-6", "geometric-square",
         "unity-square", "route-auto",
         "planar-n-above-cap", "n_list-above-cap", "power-m-0",
-        "expr-w-unparsable"])
+        "expr-w-unparsable", "lam-inf", "lam-nan", "power-m-inf",
+        "wapprox-power-m-inf", "f-literal-inf"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, sub, obj, key):
     out = tmp_path / "o"
     rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])

@@ -44,6 +44,13 @@ def test_syntax_error_columns():
     with pytest.raises(ExprError) as ei:
         parse_expr("x + (y")
     assert ei.value.column == 7
+    # a literal that overflows to inf is an input error at its column
+    with pytest.raises(ExprError) as ei:
+        parse_expr("1e400")
+    assert ei.value.column == 1
+    with pytest.raises(ExprError) as ei:
+        parse_expr("x + 1e999")
+    assert ei.value.column == 5
 
 
 def test_domain_error_column():

@@ -106,3 +106,107 @@ def test_patch_anchor_is_unit_and_in_support():
         assert np.hypot(*a) == pytest.approx(1.0)
         assert cube_pair_bump(a[None, :], h, offsets)[0] > 0
         assert cube_pair_bump(np.zeros((0, 2)), h, offsets).shape == (0,)
+
+
+# --------------------------------------------------- loop references
+# The per-cell loops that the array code in homapprox.partition replaced.
+# They run the same arithmetic in the same order, so the array code must
+# match them exactly, row order included.
+
+def _support_1d_ref(k, h):
+    if k == 0:
+        return 0.0, h / 2.0
+    return max(0.0, (4 * k - 3) * h / 6.0), (4 * k + 3) * h / 6.0
+
+
+def _active_indices_ref(h, d):
+    kmax = int(np.floor((6.0 / h + 3.0) / 4.0)) + 1
+    out = []
+    for k in itertools.product(range(kmax + 1), repeat=d):
+        lo2 = hi2 = 0.0
+        for kj in k:
+            lo, hi = _support_1d_ref(kj, h)
+            lo2 += lo * lo
+            hi2 += hi * hi
+        if lo2 <= 1.0 <= hi2:
+            out.append(k)
+    return out
+
+
+def _sphere_patches_ref(h, d):
+    offsets = []
+    for k in _active_indices_ref(h, d):
+        nz = [j for j, kj in enumerate(k) if kj > 0]
+        for tail in itertools.product((1, -1), repeat=len(nz) - 1):
+            signs = np.ones(d, dtype=int)
+            signs[nz[1:]] = tail
+            offsets.append(4 * np.array(k) * signs)
+    return np.array(offsets, dtype=float)
+
+
+def _partition_sum_and_overlap_ref(points, h):
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = x.shape
+    xi = 6.0 * np.abs(x) / h
+    total = np.ones(n)
+    counts = np.ones(n)
+    for j in range(d):
+        v = xi[:, j]
+        base = np.round(v / 4.0).astype(int)
+        s = np.zeros(n)
+        c = np.zeros(n)
+        for off in (-1, 0, 1):
+            k = base + off
+            vals = np.where(k < 0, 0.0, g_1d(k, v))
+            s += vals
+            c += vals > 0
+        total *= s
+        counts *= c
+    return total, counts.astype(int)
+
+
+def _g_k_ref(k, h, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    vals = np.ones(x.shape[0])
+    for j, kj in enumerate(k):
+        vals = vals * g_1d(kj, 6.0 * x[:, j] / h)
+    return vals
+
+
+_MESHES = (1.0, 0.5, 0.37, 0.35, 0.175, 0.1, 0.035)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_active_indices_and_patches_match_loop_reference(d):
+    for h in _MESHES:
+        ref = np.array(_active_indices_ref(h, d))
+        got = active_indices(h, d)
+        assert got.dtype.kind == "i" and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        ref = _sphere_patches_ref(h, d)
+        got = sphere_patches(h, d)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_partition_sum_and_g_k_match_loop_reference(d):
+    pts = np.random.default_rng(23).uniform(-4.0, 4.0, size=(20000, d))
+    for h in (1.0, 0.37, 0.1, 0.035):
+        sums, overlap = partition_sum_and_overlap(pts, h)
+        ref_sums, ref_overlap = _partition_sum_and_overlap_ref(pts, h)
+        assert np.array_equal(sums, ref_sums)
+        assert np.array_equal(overlap, ref_overlap)
+        for k in [(0,) * d, (1,) * d, tuple(range(d)), (3,) + (0,) * (d - 1)]:
+            assert np.array_equal(g_k(k, h, pts), _g_k_ref(k, h, pts))
+            assert g_k(k, h, pts[7]) == _g_k_ref(k, h, pts[7])[0]
+        if d == 1:
+            assert np.array_equal(g_k(2, h, pts[:, 0]), _g_k_ref((2,), h, pts))
+
+
+def test_zero_cell_on_the_sphere_is_a_value_error():
+    # the zero cell [-h/2, h/2]^d reaches the unit sphere once d h^2 >= 4
+    assert not np.any(active_indices(1.0, 4)[0])
+    with pytest.raises(ValueError, match="d h\\^2 >= 4"):
+        sphere_patches(1.0, 4)
+

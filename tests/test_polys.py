@@ -252,6 +252,17 @@ def test_eval_matches_mpmath_at_high_degree(degree):
             assert err <= 1e-13 * mpmath.fsum(abs(t) for t in terms), (x, y)
 
 
+@pytest.mark.parametrize("terms", [
+    [{"exponents": [2, 1], "coeff": 1.0}, {"exponents": [2, 1], "coeff": 2.0}],
+    [{"exponents": [True, 2], "coeff": 1.0}],
+    [{"exponents": [2.0, 1.0], "coeff": 1.0}],
+    [{"exponents": [3, 0]}],
+], ids=["repeated", "bool", "float", "no-coeff"])
+def test_from_json_obj_rejects_malformed_terms(terms):
+    with pytest.raises(ValueError):
+        HomogeneousPoly.from_json_obj(2, 3, terms)
+
+
 def test_linear_form_power_exact_binomials():
     rng = np.random.default_rng(5)
     for n in (0, 1, 7, 64, 128):
@@ -274,6 +285,8 @@ def test_dense_layout_and_dict_view():
     assert list(prod.vec) == [2.0, 2.0, -1.0, -1.0, 0.0]
     with pytest.raises(DimensionError):
         HomogeneousPoly.from_json_obj(3, 2, [{"exponents": [2, 0, 0], "coeff": 1.0}])
+    with pytest.raises(DimensionError):
+        HomogeneousPoly.from_json_obj(2, 2, [{"exponents": [2, 0, 0], "coeff": 1.0}])
     # exact on the axes: no division by x or y
     assert hp(np.array([0.0, 2.0])) == 0.0
     assert hp(np.array([-3.0, 0.0])) == -54.0
