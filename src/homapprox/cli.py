@@ -57,7 +57,9 @@ def _validate_keys(obj, allowed, pointer=""):
             raise ConfigError(f"unknown key {key!r}", pointer=f"{pointer}/{key}")
 
 
-_WEIGHT_KEYS = ("type", "body", "m", "w")
+# the keys each weight type takes besides "type", all of them required
+_WEIGHT_KEYS = {"body": ("body",), "power": ("m",), "constant": (),
+                "expr": ("w",)}
 
 
 def _build_body(spec, pointer):
@@ -71,31 +73,34 @@ def _build_body(spec, pointer):
 
 
 def _build_weight(spec, pointer):
-    _validate_keys(spec, _WEIGHT_KEYS, pointer)
+    _check_type(spec, dict, pointer)
     kind = spec.get("type")
+    if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
+        raise ConfigError(f"unknown weight type {kind!r}",
+                          pointer=f"{pointer}/type")
+    for key in [*_WEIGHT_KEYS[kind], *spec]:
+        if key not in spec:
+            raise ConfigError(f"weight type {kind!r} needs key {key!r}",
+                              pointer=f"{pointer}/{key}")
+        if key not in ("type", *_WEIGHT_KEYS[kind]):
+            raise ConfigError(f"weight type {kind!r} takes no key {key!r}",
+                              pointer=f"{pointer}/{key}")
     if kind == "body":
-        if "body" not in spec:
-            raise ConfigError("missing body", pointer=f"{pointer}/body")
         return _build_body(spec["body"], f"{pointer}/body").weight()
     if kind == "power":
-        if "m" not in spec:
-            raise ConfigError("missing exponent m", pointer=f"{pointer}/m")
         _check_type(spec["m"], (int, float), f"{pointer}/m")
         if spec["m"] <= 0:
             raise ConfigError("m must be positive", pointer=f"{pointer}/m")
         return Weight.power_family(spec["m"])
     if kind == "constant":
         return Weight.constant()
-    if kind == "expr":
-        if "w" not in spec:
-            raise ConfigError("missing expression w", pointer=f"{pointer}/w")
-        try:
-            fn = line_function(parse_expr(spec["w"]))
-        except ExprError as exc:
-            raise ConfigError(f"bad weight expression: {exc}",
-                              pointer=f"{pointer}/w")
-        return Weight.from_callable(fn)
-    raise ConfigError(f"unknown weight type {kind!r}", pointer=f"{pointer}/type")
+    _check_type(spec["w"], str, f"{pointer}/w")
+    try:
+        fn = line_function(parse_expr(spec["w"]))
+    except ExprError as exc:
+        raise ConfigError(f"bad weight expression: {exc}",
+                          pointer=f"{pointer}/w")
+    return Weight.from_callable(fn)
 
 
 def _require(cfg, key, types, pointer=""):
@@ -389,6 +394,7 @@ def main(argv=None):
                 cfg = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}")
+            _check_type(cfg, dict, "/")
         for key in _OVERRIDABLE:
             val = getattr(args, key)
             if val is not None:

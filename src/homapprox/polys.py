@@ -12,6 +12,7 @@ through a supporting line), and the classical off-interval growth bound
 from __future__ import annotations
 
 import math
+import sys
 from types import MappingProxyType
 
 import numpy as np
@@ -94,7 +95,12 @@ class HomogeneousPoly:
             if k in seen:
                 raise ValueError(f"exponent {k} is repeated")
             seen.add(k)
-            vec[k[1]] = term["coeff"]
+            c = term["coeff"]
+            # false for nan, inf and an int too large for a float
+            finite = isinstance(c, (int, float)) and abs(c) <= sys.float_info.max
+            if isinstance(c, bool) or not finite:
+                raise ValueError(f"coefficient {c!r} is not a finite number")
+            vec[k[1]] = c
         return cls(vec)
 
 

@@ -42,11 +42,6 @@ class Weight:
     def Qp(self, t):
         return self.qp_fn(np.asarray(t, dtype=float))
 
-    @property
-    def is_even(self):
-        ts = np.linspace(0.1, 37.0, 23)
-        return bool(np.max(np.abs(self.W(ts) - self.W(-ts))) < 1e-12 * np.max(self.W(ts)))
-
     @classmethod
     def power_family(cls, m):
         """W(t) = (1 + |t|^m)^(-1/m), the standard example family."""
@@ -166,34 +161,32 @@ def mrs_support(w, lam):
     """Support endpoints (a, b) of the equilibrium measure for W^lambda.
 
     The symmetric support [-b, b] solves the second endpoint condition by
-    bracketing; it is the answer for an even weight and the starting point of
-    a root solve of both conditions otherwise.  That solve is accepted only
-    by its residuals, never by the solver's own status.
+    bracketing.  It is the answer when it solves both conditions, and
+    otherwise the start of a root solve of both.  Either is accepted by one
+    test, a < b and max(|F0|, |F1|) <= _SUPPORT_TOL, never by the solver's
+    own status.
     """
     if lam <= 1:
         raise ValueError("mrs_support needs lambda > 1")
 
-    def g(b):
-        return _gc_moments(w, lam, -b, b)[1]
-
-    b_hi = 1.0
-    while g(b_hi) < 0:
-        b_hi *= 2
-        if b_hi > 1e8:
-            raise NoConvergenceError("no finite support bracket found",
-                                     residuals=g(b_hi / 2))
-    b = brentq(g, 1e-6, b_hi, xtol=1e-13, rtol=1e-15)
-    if w.is_even:
-        return (-b, b)
-
     def F(ab):
         return np.array(_gc_moments(w, lam, ab[0], ab[1]))
 
-    a, b = root(F, np.array([-b, b]), method="hybr").x
-    f = F((a, b))
-    if not (a < b and np.max(np.abs(f)) <= _SUPPORT_TOL):
+    b_hi = 1.0
+    while F((-b_hi, b_hi))[1] < 0:
+        b_hi *= 2
+        if b_hi > 1e8:
+            raise NoConvergenceError("no finite support bracket found",
+                                     residuals=F((-b_hi / 2, b_hi / 2))[1])
+    b = brentq(lambda r: F((-r, r))[1], 1e-6, b_hi, xtol=1e-13, rtol=1e-15)
+    ab = np.array([-b, b])
+    f = F(ab)
+    if np.max(np.abs(f)) > _SUPPORT_TOL:
+        ab = root(F, ab, method="hybr").x
+        f = F(ab)
+    if not (ab[0] < ab[1] and np.max(np.abs(f)) <= _SUPPORT_TOL):
         raise NoConvergenceError("support solve did not converge", residuals=f)
-    return (float(a), float(b))
+    return (float(ab[0]), float(ab[1]))
 
 
 # ------------------------------------------------------------------ density

@@ -296,19 +296,46 @@ def test_partition_diag_and_check_weight(tmp_path):
     ("wapprox", {"weight": {"type": "power", "m": float("inf")},
                  "f": "1/(1+t^2)", "n_list": [2]}, "weight/m"),
     ("approx", {"body": {"type": "disk"}, "f": "1e400", "n": 9}, "f"),
+    # a weight takes only its own type's keys, and w is a string
+    ("check-weight", {"weight": {"type": "constant", "m": 3, "w": "t"}},
+     "weight/m"),
+    ("check-weight", {"weight": {"type": "power", "m": 2, "w": "t"}},
+     "weight/w"),
+    ("equilibrium", {"weight": {"type": "body", "body": {"type": "disk"},
+                                "m": 2}, "lam": 2.0}, "weight/m"),
+    ("check-weight", {"weight": {"type": "expr", "w": 5}}, "weight/w"),
+    ("check-weight", {"weight": {"type": ["power"], "m": 2}}, "weight/type"),
 ], ids=["unity-h-0", "unity-h-1.5", "partition-h-1.5", "samples-0",
         "samples-negative", "grid-0", "grid-negative", "n_list-empty",
         "n_list-repeated", "geometric-n-6", "geometric-square",
         "unity-square", "route-auto",
         "planar-n-above-cap", "n_list-above-cap", "power-m-0",
         "expr-w-unparsable", "lam-inf", "lam-nan", "power-m-inf",
-        "wapprox-power-m-inf", "f-literal-inf"])
+        "wapprox-power-m-inf", "f-literal-inf", "constant-takes-m",
+        "power-takes-w", "body-takes-m", "expr-w-number", "type-list"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, sub, obj, key):
     out = tmp_path / "o"
     rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])
     assert rc == 3
     assert f" at /{key}:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_foreign_weight_key_names_the_weight_type(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, {"weight": {"type": "power", "m": 2, "w": "t"}})
+    assert main(["check-weight", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "weight type 'power' takes no key 'w'" in capsys.readouterr().err
+
+
+def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
+    # with and without an override flag, which writes into the config
+    cfg = write_cfg(tmp_path, [1, 2])
+    for flags in ([], ["--n", "5"]):
+        out = tmp_path / "o"
+        assert main(["approx", "--config", cfg, "--out", str(out), *flags]) == 3
+        assert " at /:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_run_rejects_unknown_subcommand(tmp_path):

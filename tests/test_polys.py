@@ -257,7 +257,12 @@ def test_eval_matches_mpmath_at_high_degree(degree):
     [{"exponents": [True, 2], "coeff": 1.0}],
     [{"exponents": [2.0, 1.0], "coeff": 1.0}],
     [{"exponents": [3, 0]}],
-], ids=["repeated", "bool", "float", "no-coeff"])
+    [{"exponents": [3, 0], "coeff": True}],
+    [{"exponents": [3, 0], "coeff": float("nan")}],
+    [{"exponents": [3, 0], "coeff": float("inf")}],
+    [{"exponents": [3, 0], "coeff": "1.5"}],
+], ids=["repeated", "bool", "float", "no-coeff", "coeff-true", "coeff-nan",
+        "coeff-inf", "coeff-string"])
 def test_from_json_obj_rejects_malformed_terms(terms):
     with pytest.raises(ValueError):
         HomogeneousPoly.from_json_obj(2, 3, terms)

@@ -9,6 +9,7 @@ import pytest
 from homapprox import (ConvexBody, NoConvergenceError, Weight, check_weight,
                        mrs_support, density, equilibrium_check)
 from homapprox import potential
+from homapprox.expr import line_function, parse_expr
 
 
 def disk_weight():
@@ -87,6 +88,64 @@ def test_support_solve_is_judged_by_its_residuals(monkeypatch):
     w = Weight.from_callable(lambda t: 1.0 / np.sqrt(1.0 + (t - 0.3) ** 2))
     with pytest.raises(NoConvergenceError):
         mrs_support(w, 1.5)
+
+
+def test_weight_even_at_sample_points_gets_a_solved_support():
+    """An odd perturbation of the disk weight vanishes at +/-(0.1 + 36.9 k/22),
+    so W(t) and W(-t) agree at 23 points from 0.1 to 37 but not at t = 1; its
+    support solves both endpoint conditions, which the symmetric support
+    fails with F0 = 0.032."""
+    w = Weight.from_callable(line_function(parse_expr(
+        "(1+t^2)^(-0.5) * (1 + 0.3*t/(1+t^2)*sin(1.873036270432939*(t-0.1))"
+        "*sin(1.873036270432939*(t+0.1)))")))
+    ts = np.linspace(0.1, 37.0, 23)
+    assert np.max(np.abs(w.W(ts) - w.W(-ts))) < 1e-12 * np.max(w.W(ts))
+    assert abs(w.W(1.0) - w.W(-1.0)) > 0.18
+    a, b = mrs_support(w, 1.5)
+    assert np.max(np.abs(potential._gc_moments(w, 1.5, a, b))) <= potential._SUPPORT_TOL
+
+
+_EVEN_WEIGHTS = {
+    "disk": lambda: ConvexBody.disk().weight(),
+    "ellipse": lambda: ConvexBody.ellipse(2.0, 1.0).weight(),
+    "square": lambda: ConvexBody.square().weight(),
+    "pnorm4": lambda: ConvexBody.pnorm_ball(4.0).weight(),
+    "power1.5": lambda: Weight.power_family(1.5),
+    "power2": lambda: Weight.power_family(2.0),
+}
+
+
+@pytest.mark.parametrize("name, lam, b_hex", [
+    ("disk", 1.2, "0x1.7aa10d193c233p+2"),
+    ("disk", 1.5, "0x1.6a09e667f3bcep+1"),
+    ("disk", 2.0, "0x1.bb67ae8584d09p+0"),
+    ("disk", 4.0, "0x1.c38aa37c3f68dp-1"),
+    ("ellipse", 1.2, "0x1.7aa10d193c217p+1"),
+    ("ellipse", 1.5, "0x1.6a09e667f3bcep+0"),
+    ("ellipse", 2.0, "0x1.bb67ae8584c26p-1"),
+    ("ellipse", 4.0, "0x1.c38aa37c3f67dp-2"),
+    ("square", 1.2, "0x1.ee8dd4748bf12p+1"),
+    ("square", 1.5, "0x1.0000000000000p+1"),
+    ("square", 2.0, "0x1.6a09e667f3bcdp+0"),
+    ("square", 4.0, "0x1.1517a7bdb3895p+0"),
+    ("pnorm4", 1.2, "0x1.16683a501ef73p+2"),
+    ("pnorm4", 1.5, "0x1.2539ebc36966cp+1"),
+    ("pnorm4", 2.0, "0x1.9831c2255ea97p+0"),
+    ("pnorm4", 4.0, "0x1.0c85296e8150dp+0"),
+    ("power1.5", 1.2, "0x1.df7327e5b797dp+2"),
+    ("power1.5", 1.5, "0x1.9c9d62edc30aap+1"),
+    ("power1.5", 2.0, "0x1.ca0a9c9558a65p+0"),
+    ("power1.5", 4.0, "0x1.88120203e3e31p-1"),
+    ("power2", 1.2, "0x1.7aa10d193c230p+2"),
+    ("power2", 1.5, "0x1.6a09e667f3bcep+1"),
+    ("power2", 2.0, "0x1.bb67ae8584d09p+0"),
+    ("power2", 4.0, "0x1.c38aa37c3f68dp-1"),
+])
+def test_even_weight_keeps_its_symmetric_support(name, lam, b_hex):
+    """An even weight's bracketed support [-b, b] solves both conditions and
+    is returned as bracketed, bit for bit, without a root solve."""
+    a, b = mrs_support(_EVEN_WEIGHTS[name](), lam)
+    assert (a, b) == (-float.fromhex(b_hex), float.fromhex(b_hex))
 
 
 def test_t_to_u_coeffs_match_the_termwise_loop():
