@@ -103,6 +103,18 @@ def _build_weight(spec, pointer):
     return Weight.from_callable(fn)
 
 
+def _admissible(w, pointer):
+    """w, refused as a config error unless `check_weight` passes it."""
+    diag = check_weight(w)
+    failed = [f"{name} ({fn} positive and convex)" for name, fn, ok in (
+        ("cond1", "1/W(t)", diag.cond1_ok),
+        ("cond2", "|t|/W(-1/t)", diag.cond2_ok)) if not ok]
+    if failed:
+        raise ConfigError(f"weight fails {' and '.join(failed)}",
+                          pointer=pointer)
+    return w
+
+
 def _require(cfg, key, types, pointer=""):
     if key not in cfg:
         raise ConfigError(f"missing required key {key!r}",
@@ -243,7 +255,8 @@ def _run_unity(cfg, out):
 
 def _run_equilibrium(cfg, out):
     _validate_keys(cfg, ("weight", "lam", "grid"))
-    w = _build_weight(_require(cfg, "weight", dict), "/weight")
+    w = _admissible(_build_weight(_require(cfg, "weight", dict), "/weight"),
+                    "/weight")
     lam = _require(cfg, "lam", (int, float))
     if lam <= 1:
         raise ConfigError("lam must be greater than 1", pointer="/lam")
@@ -269,8 +282,9 @@ def _run_wapprox(cfg, out):
     if ("weight" in cfg) == ("body" in cfg):
         raise ConfigError("exactly one of weight/body is required",
                           pointer="/weight")
-    w = (_build_weight(cfg["weight"], "/weight") if "weight" in cfg
-         else _build_body(cfg["body"], "/body").weight())
+    w = (_admissible(_build_weight(cfg["weight"], "/weight"), "/weight")
+         if "weight" in cfg
+         else _admissible(_build_body(cfg["body"], "/body").weight(), "/body"))
     f, ftext = _parse_f(cfg, line_function)
     n_list = _require(cfg, "n_list", list)
     if not n_list:

@@ -91,6 +91,7 @@ def approximate_theorem2(body, f, n):
     report.extras["joint_sup_error"] = wa_e.sup_error
     report.extras["lp_solves"] = wa_e.lp_solves
     report.extras["lp_rows"] = wa_e.lp_rows
+    report.extras["lp_iterations"] = wa_e.lp_iterations
     report.extras["refine_converged"] = wa_e.converged
     return HomPair(h_even=h_even, h_odd=h_odd, route="planar-potential",
                    report=report, _eval=pair_eval)

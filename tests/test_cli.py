@@ -167,6 +167,26 @@ def test_wapprox_weight_body_exclusive(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("sub, obj, failed", [
+    ("equilibrium", {"weight": {"type": "expr", "w": "1 - t"}, "lam": 2.0},
+     ("cond1", "cond2")),
+    ("wapprox", {"weight": {"type": "constant"}, "f": "1/(1+t^2)",
+                 "n_list": [2]}, ("cond2",)),
+], ids=["equilibrium-1-minus-t", "wapprox-constant"])
+def test_weight_that_fails_check_weight_is_config_error(tmp_path, capsys, sub,
+                                                        obj, failed):
+    """A weight outside the paper's conditions is refused at /weight, by
+    the conditions it fails, before any numerics run."""
+    out = tmp_path / "o"
+    rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert " at /weight: weight fails " in err
+    for cond in ("cond1", "cond2"):
+        assert (cond in err) == (cond in failed)
+    assert not out.exists()
+
+
 def test_approx_run(tmp_path):
     cfg = write_cfg(tmp_path, {
         "body": {"type": "ellipse", "semi_axes": [2, 1]},

@@ -8,8 +8,12 @@ import pytest
 import scipy
 
 # the names weighted_approx._ExchangeLP calls
-_METHODS = ("setOptionValue", "addCols", "addRows", "run", "getModelStatus",
-            "modelStatusToString", "getSolution", "getNumRow")
+_METHODS = ("setOptionValue", "addRows", "addCols", "run", "getModelStatus",
+            "modelStatusToString", "getInfo", "getSolution", "getNumCol")
+# the fields it reads from getInfo() and getSolution()
+_FIELDS = (("getInfo", "simplex_iteration_count"),
+           ("getInfo", "objective_function_value"),
+           ("getSolution", "row_dual"))
 
 
 def test_private_highs_binding_is_present():
@@ -27,3 +31,8 @@ def test_private_highs_binding_is_present():
     assert not missing, (f"scipy {scipy.__version__}: _Highs lacks {missing}, "
                          "which homapprox.weighted_approx._ExchangeLP calls")
     assert hasattr(HighsModelStatus, "kOptimal")
+    highs = _Highs()
+    missing = [f"{m}().{f}" for m, f in _FIELDS
+               if not hasattr(getattr(highs, m)(), f)]
+    assert not missing, (f"scipy {scipy.__version__}: _Highs lacks {missing}, "
+                         "which homapprox.weighted_approx._ExchangeLP reads")

@@ -191,6 +191,15 @@ def test_exact_pair_takes_one_lp_solve():
     assert pair.report.extras["lp_rows"] == 2 * 2 * (4 * 18 + 1)
 
 
+def test_lp_iterations_are_counted_and_repeat():
+    """The HiGHS simplex iterations summed over a fit's solves are a
+    deterministic counter: two runs of the square pair give the same."""
+    a, b = (approximate_theorem2(ConvexBody.square(), f_expcos, 24).report
+            for _ in range(2))
+    assert a.extras["lp_solves"] > 1
+    assert a.extras["lp_iterations"] == b.extras["lp_iterations"] > 0
+
+
 @pytest.mark.parametrize("f, steps", [
     (lambda p: np.exp(p[:, 0]), 0),
     (lambda p: np.cos(3 * p[:, 0]), 2),

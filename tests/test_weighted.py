@@ -3,10 +3,11 @@
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from homapprox import (ConvexBody, CompactifiedFunction, HomogeneousPoly,
                        weighted_minimax, approximate_theorem2,
-                       UnequalLimitsError, DegreeCapError)
+                       UnequalLimitsError, DegreeCapError, NoConvergenceError)
 from homapprox import pipeline, weighted_approx
 
 
@@ -256,23 +257,30 @@ def test_fits_write_nothing_to_the_terminal(capfd):
     assert capfd.readouterr() == ("", "")
 
 
-def _recorded_systems(monkeypatch):
+def _recorded_systems(monkeypatch, solved=None):
     """The rows of each LP the exchange solves, recorded through a subclass
-    of `_ExchangeLP` that sees the start block and every `add`."""
-    rows, systems = [], []
+    of `_ExchangeLP` that sees the start block and every `add`.  With a list
+    ``solved``, each solve also appends its system (A, b) and its optimum
+    (c, e) there."""
+    rows, targets, systems = [], [], []
 
     class Recording(weighted_approx._ExchangeLP):
         def __init__(self, A, b):
             rows.append(A)
+            targets.append(b)
             super().__init__(A, b)
 
         def add(self, A, b):
             rows.append(A)
+            targets.append(b)
             super().add(A, b)
 
         def solve(self):
             systems.append(np.vstack(rows))
-            return super().solve()
+            c, e = super().solve()
+            if solved is not None:
+                solved.append((systems[-1], np.concatenate(targets), c, e))
+            return c, e
 
     monkeypatch.setattr(weighted_approx, "_ExchangeLP", Recording)
     return systems
@@ -287,6 +295,43 @@ def test_exchange_adds_no_row_twice(monkeypatch):
     assert len(systems) > 1
     for A in systems:
         assert len(np.unique(A, axis=0)) == len(A)
+
+
+def test_dual_lp_matches_an_independent_primal_solve(monkeypatch):
+    """Every LP of the square pair at n = 32, which `_ExchangeLP` solves in
+    its dual form, solved again by scipy's linprog in the primal form min e
+    over |A c - b| <= e: the errors agree, the dual's coefficients attain
+    theirs, and lp_rows counts the last LP's primal rows."""
+    solved = []
+    _recorded_systems(monkeypatch, solved)
+    (wa, _), _ = _expcos_pair(ConvexBody.square(), (32, 31))
+    assert len(solved) == wa.lp_solves > 1
+    for A, b, c, e in solved:
+        m, k = A.shape
+        # variables (c, e): A c - e <= b and -A c - e <= -b
+        res = linprog(np.r_[np.zeros(k), 1.0],
+                      A_ub=np.block([[A, -np.ones((m, 1))],
+                                     [-A, -np.ones((m, 1))]]),
+                      b_ub=np.r_[b, -b], bounds=[(None, None)] * k + [(0, None)],
+                      method="highs")
+        assert res.status == 0
+        assert abs(res.fun - e) <= 1e-7 * e
+        assert abs(np.max(np.abs(A @ c - b)) - e) <= 1e-7 * e
+    assert wa.lp_rows == 2 * len(solved[-1][0])
+
+
+def test_lp_stopped_short_of_its_optimum_raises(monkeypatch):
+    """A HiGHS run that ends without an optimum (here at an iteration limit)
+    raises NoConvergenceError naming the model status."""
+    class Capped(weighted_approx._ExchangeLP):
+        def __init__(self, A, b):
+            super().__init__(A, b)
+            self.highs.setOptionValue("simplex_iteration_limit", 1)
+
+    monkeypatch.setattr(weighted_approx, "_ExchangeLP", Capped)
+    with pytest.raises(NoConvergenceError,
+                       match="minimax LP failed: .*[Ii]teration limit"):
+        _expcos_pair(ConvexBody.square(), (8, 7))
 
 
 _HEXAGON = [(0, 1), (1, .5), (1, -.5), (0, -1), (-1, -.5), (-1, .5)]
