@@ -57,34 +57,65 @@ def _validate_keys(obj, allowed, pointer=""):
             raise ConfigError(f"unknown key {key!r}", pointer=f"{pointer}/{key}")
 
 
-# the keys each weight type takes besides "type", all of them required
-_WEIGHT_KEYS = {"body": ("body",), "power": ("m",), "constant": (),
-                "expr": ("w",)}
+def _numeric(value):
+    """A number other than a bool, or lists of such nested to any depth."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_numeric, value))
+    return np.asarray(value).dtype.kind in "iuf"
+
+
+# each body type's required keys, optional keys and factory
+_BODY_TYPES = {
+    "disk": ((), ("radius",), ConvexBody.disk),
+    "ellipse": (("semi_axes",), (),
+                lambda semi_axes: ConvexBody.ellipse(*semi_axes)),
+    "square": ((), ("half_width",), ConvexBody.square),
+    "polygon": (("vertices",), (), ConvexBody.polygon),
+    "pnorm": (("p",), ("semi_axes",), ConvexBody.pnorm_ball),
+    "radial-samples": (("angles", "radii"), (), ConvexBody.radial_samples),
+}
+
+# each weight type's required and optional keys
+_WEIGHT_TYPES = {"body": (("body",), ()), "power": (("m",), ()),
+                 "constant": ((), ()), "expr": (("w",), ())}
+
+
+def _typed(spec, table, what, pointer):
+    """The type of the config section spec: an object whose "type" names an
+    entry of table, with every required key of that entry and no other."""
+    _check_type(spec, dict, pointer)
+    if "type" not in spec:
+        raise ConfigError(f"missing {what} type", pointer=f"{pointer}/type")
+    kind = spec["type"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"unknown {what} type {kind!r}",
+                          pointer=f"{pointer}/type")
+    required, optional = table[kind][:2]
+    for key in [*required, *spec]:
+        if key not in spec:
+            raise ConfigError(f"{what} type {kind!r} needs key {key!r}",
+                              pointer=f"{pointer}/{key}")
+        if key not in ("type", *required, *optional):
+            raise ConfigError(f"{what} type {kind!r} takes no key {key!r}",
+                              pointer=f"{pointer}/{key}")
+    return kind
 
 
 def _build_body(spec, pointer):
-    _check_type(spec, dict, pointer)
+    kind = _typed(spec, _BODY_TYPES, "body", pointer)
+    args = {key: value for key, value in spec.items() if key != "type"}
+    for key, value in args.items():
+        if not _numeric(value):
+            raise ConfigError(f"{key} must be numeric",
+                              pointer=f"{pointer}/{key}")
     try:
-        return ConvexBody.from_config(spec)
-    except ConfigError as exc:
-        raise ConfigError(str(exc), pointer=pointer + exc.pointer)
+        return _BODY_TYPES[kind][2](**args)
     except (ValueError, TypeError, DimensionError) as exc:
         raise ConfigError(f"invalid body: {exc}", pointer=pointer)
 
 
 def _build_weight(spec, pointer):
-    _check_type(spec, dict, pointer)
-    kind = spec.get("type")
-    if not isinstance(kind, str) or kind not in _WEIGHT_KEYS:
-        raise ConfigError(f"unknown weight type {kind!r}",
-                          pointer=f"{pointer}/type")
-    for key in [*_WEIGHT_KEYS[kind], *spec]:
-        if key not in spec:
-            raise ConfigError(f"weight type {kind!r} needs key {key!r}",
-                              pointer=f"{pointer}/{key}")
-        if key not in ("type", *_WEIGHT_KEYS[kind]):
-            raise ConfigError(f"weight type {kind!r} takes no key {key!r}",
-                              pointer=f"{pointer}/{key}")
+    kind = _typed(spec, _WEIGHT_TYPES, "weight", pointer)
     if kind == "body":
         return _build_body(spec["body"], f"{pointer}/body").weight()
     if kind == "power":

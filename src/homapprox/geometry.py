@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize_scalar
 
-from .errors import BoundaryPointError, ConfigError, DimensionError
+from .errors import BoundaryPointError, DimensionError
 from .potential import Weight
 
 _BOUNDARY_TOL = 1e-9
@@ -59,18 +59,11 @@ def _lengths(values, count, what):
     return arr
 
 
-def _numeric(value):
-    """A number other than a bool, or lists of such nested to any depth."""
-    if isinstance(value, (list, tuple)):
-        return all(map(_numeric, value))
-    return np.asarray(value).dtype.kind in "iuf"
-
-
 class ConvexBody:
     """Centrally symmetric planar convex body, known through its gauge.
 
     Construct through the classmethods (`disk`, `ellipse`, `polygon`, `square`,
-    `pnorm_ball`, `radial_samples`, `from_config`).  Each factory owns its
+    `pnorm_ball`, `radial_samples`).  Each factory owns its
     shape: it passes closures for the gauge and its gradient over its own
     data, and its closed-form delta_K (None if it has none), corners and
     smoothness.  Instances are immutable; all operations are pure.
@@ -179,6 +172,9 @@ class ConvexBody:
         when its curvature form r^2 + 2 r'^2 - r r'' is >= 0 on a dense grid."""
         ang = np.asarray(angles, dtype=float)
         rad = np.asarray(radii, dtype=float)
+        if ang.ndim != 1 or ang.shape != rad.shape or not len(ang):
+            raise DimensionError("radial samples need equally many angles "
+                                 "and radii, at least one")
         if not np.all(np.isfinite(ang) & (rad > 0) & np.isfinite(rad)):
             raise ValueError("radial samples must be finite, radii positive")
         ang = ang % np.pi
@@ -206,39 +202,6 @@ class ConvexBody:
             return (x + dr / r * turn) / (np.linalg.norm(x, axis=-1, keepdims=True) * r)
 
         return cls("radial", gauge, gradient)
-
-    @classmethod
-    def from_config(cls, spec):
-        """Build a body from the CLI body sub-schema {"type": ..., key: value}.
-
-        `schema`, its one definition, maps each type to its factory and the
-        factory's required and optional parameters.  A missing, foreign or
-        non-numeric key raises ConfigError, its pointer relative to spec."""
-        if "type" not in spec:
-            raise ConfigError("missing body type", pointer="/type")
-        schema = {
-            "disk": (cls.disk, (), ("radius",)),
-            "ellipse": (lambda semi_axes: cls.ellipse(*semi_axes), ("semi_axes",), ()),
-            "square": (cls.square, (), ("half_width",)),
-            "polygon": (cls.polygon, ("vertices",), ()),
-            "pnorm": (cls.pnorm_ball, ("p",), ("semi_axes",)),
-            "radial-samples": (cls.radial_samples, ("angles", "radii"), ()),
-        }
-        name = spec["type"]
-        if name not in schema:
-            raise ValueError(f"unknown body type {name!r}")
-        factory, required, optional = schema[name]
-        args = {key: value for key, value in spec.items() if key != "type"}
-        for key in [*required, *args]:
-            if key not in args:
-                raise ConfigError(f"body type {name!r} needs key {key!r}",
-                                  pointer=f"/{key}")
-            if key not in required + optional:
-                raise ConfigError(f"body type {name!r} takes no key {key!r}",
-                                  pointer=f"/{key}")
-            if not _numeric(args[key]):
-                raise ConfigError(f"{key} must be numeric", pointer=f"/{key}")
-        return factory(**args)
 
     # ---------------------------------------------------------------- gauge
 

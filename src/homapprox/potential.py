@@ -44,7 +44,8 @@ class Weight:
 
     @classmethod
     def power_family(cls, m):
-        """W(t) = (1 + |t|^m)^(-1/m), the standard example family."""
+        """W(t) = (1 + |t|^m)^(-1/m), the standard example family; for
+        m <= 1 it is not differentiable at t = 0, a kink."""
         m = float(m)
 
         def w_fn(t):
@@ -54,7 +55,8 @@ class Weight:
             t = np.asarray(t, dtype=float)
             return np.sign(t) * np.abs(t) ** (m - 1) / (1 + np.abs(t) ** m)
 
-        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=1.0)
+        return cls(w_fn=w_fn, qp_fn=qp_fn, rho=1.0,
+                   kinks=(0.0,) if m <= 1 else ())
 
     @classmethod
     def constant(cls):

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-# perfbench wraps this name until it reads package counters (ROADMAP item 1)
+# perfbench wraps this name until it reads package counters (ROADMAP item 6)
 from scipy.optimize import linprog  # noqa: F401
 from scipy.optimize._highspy._core import HighsModelStatus, _Highs
 

@@ -95,6 +95,10 @@ def test_polygon_vertices_on_one_ray_are_config_error(tmp_path, capsys,
     '{"type": "pnorm", "p": 1e400}',
     '{"type": "polygon", "vertices": [[2, 0], [0.5, 0.5], [0, 2], [-0.5, 0.5],'
     ' [-2, 0], [-0.5, -0.5], [0, -2], [0.5, -0.5]]}',
+    '{"type": "radial-samples", "angles": [], "radii": []}',
+    '{"type": "radial-samples", "angles": [[0, 1], [2, 3]],'
+    ' "radii": [[1, 1], [1, 1]]}',
+    '{"type": "radial-samples", "angles": [0, 1, 2], "radii": [1, 1]}',
 ])
 def test_malformed_body_is_config_error(tmp_path, capsys, body):
     # JSON reads 1e400 as inf
@@ -134,6 +138,17 @@ def test_equilibrium_of_a_kinked_weight_names_the_kink(tmp_path, capsys):
     assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "kink at t = -1, 1 inside the support" in err
+    assert not out.exists()
+
+
+def test_equilibrium_of_the_power_weight_m_1_names_its_corner(tmp_path,
+                                                              capsys):
+    # (1 + |t|)^-1, the diamond's weight, has a corner at t = 0
+    cfg = write_cfg(tmp_path, {"weight": {"type": "power", "m": 1},
+                               "lam": 2.0})
+    out = tmp_path / "eq"
+    assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 2
+    assert "kink at t = 0 inside the support" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -325,6 +340,12 @@ def test_partition_diag_and_check_weight(tmp_path):
                                 "m": 2}, "lam": 2.0}, "weight/m"),
     ("check-weight", {"weight": {"type": "expr", "w": 5}}, "weight/w"),
     ("check-weight", {"weight": {"type": ["power"], "m": 2}}, "weight/type"),
+    # a body type is read as a weight type is
+    ("approx", {"body": {"type": "circle"}, "f": "x", "n": 8}, "body/type"),
+    ("approx", {"body": {"type": ["disk"]}, "f": "x", "n": 8}, "body/type"),
+    ("approx", {"body": {"type": 5}, "f": "x", "n": 8}, "body/type"),
+    ("check-weight", {"weight": {"type": "body", "body": {"type": "blob"}}},
+     "weight/body/type"),
 ], ids=["unity-h-0", "unity-h-1.5", "partition-h-1.5", "samples-0",
         "samples-negative", "grid-0", "grid-negative", "n_list-empty",
         "n_list-repeated", "geometric-n-6", "geometric-square",
@@ -332,7 +353,9 @@ def test_partition_diag_and_check_weight(tmp_path):
         "planar-n-above-cap", "n_list-above-cap", "power-m-0",
         "expr-w-unparsable", "lam-inf", "lam-nan", "power-m-inf",
         "wapprox-power-m-inf", "f-literal-inf", "constant-takes-m",
-        "power-takes-w", "body-takes-m", "expr-w-number", "type-list"])
+        "power-takes-w", "body-takes-m", "expr-w-number", "type-list",
+        "body-type-unknown", "body-type-list", "body-type-number",
+        "weight-body-type-unknown"])
 def test_out_of_range_value_is_config_error(tmp_path, capsys, sub, obj, key):
     out = tmp_path / "o"
     rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 
-from homapprox import (BoundaryPointError, ConvexBody, DimensionError,
-                       HomogeneousPoly)
+from homapprox import (BoundaryPointError, ConfigError, ConvexBody,
+                       DimensionError, HomogeneousPoly)
+from homapprox.cli import _build_body
 from homapprox.geometry import SupportLine
 from homapprox.potential import check_weight
 
@@ -207,12 +208,13 @@ def test_radial_samples_body():
 
 
 def test_from_config_round_trip():
-    b = ConvexBody.from_config({"type": "ellipse", "semi_axes": [2, 1]})
+    # the CLI's reader of a config body section
+    b = _build_body({"type": "ellipse", "semi_axes": [2, 1]}, "/body")
     assert b.kind == "ellipse"
-    b = ConvexBody.from_config({"type": "square"})
+    b = _build_body({"type": "square"}, "/body")
     assert b.kind == "polygon"
-    with pytest.raises(ValueError):
-        ConvexBody.from_config({"type": "blob"})
+    with pytest.raises(ConfigError):
+        _build_body({"type": "blob"}, "/body")
 
 
 def test_polygon_rejects_asymmetric_and_nonconvex_outlines():

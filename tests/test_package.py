@@ -32,6 +32,15 @@ def test_every_error_class_is_raised():
     assert not unraised
 
 
+def test_only_the_cli_raises_config_error():
+    """The config schema is the CLI's: no other module of the package
+    raises ConfigError."""
+    raisers = [p.name for p in
+               pathlib.Path(homapprox.__file__).parent.glob("*.py")
+               if re.search(r"\braise ConfigError\b", p.read_text())]
+    assert raisers == ["cli.py"]
+
+
 def test_traced_benchmark_finds_every_layer():
     """The benchmark's tracer wraps package functions by name
     (perfbench/spans.py): every per-layer metric must find one of its

@@ -197,6 +197,16 @@ def test_check_weight_rejects_constant():
     assert np.isinf(diag.rho)
 
 
+@pytest.mark.parametrize("lam", [1.5, 2.0, 4.0])
+def test_power_weight_m_1_is_the_diamond_weight(lam):
+    """W = (1 + |t|)^-1 is the diamond's weight; both declare its corner at
+    t = 0, so their supports agree to the last bit."""
+    w = Weight.power_family(1)
+    assert w.kinks == (0.0,)
+    assert (mrs_support(w, lam)
+            == mrs_support(ConvexBody.pnorm_ball(1).weight(), lam))
+
+
 def test_power_family_weight():
     w = Weight.power_family(2.0)
     diag = check_weight(w)
