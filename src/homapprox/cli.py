@@ -1,10 +1,12 @@
 """Command-line front end: validated JSON configs, deterministic artifacts.
 
 Subcommands: approx, unity, equilibrium, wapprox, partition-diag,
-check-weight.  Each run writes its artifacts atomically (temp file + rename)
-into the output directory plus a run manifest with input hash, package
-versions, seed, and timings.  All numeric CSV output uses 17 significant
-digits; everything except the manifest timings is byte-reproducible.
+check-weight.  Every config object, the top level included, takes only its
+required and optional keys.  A run computes all of its artifacts before it
+writes any, each atomically (temp file + rename) into the output directory,
+then a run manifest with input hash, package versions, seed, and timings.
+All numeric CSV output uses 17 significant digits; everything except the
+manifest timings is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -50,17 +51,25 @@ def _check_type(value, types, pointer):
                           pointer=pointer)
 
 
-def _validate_keys(obj, allowed, pointer=""):
-    _check_type(obj, dict, pointer or "/")
+def _keys(obj, required, optional, owner, pointer):
+    """Refuse a key of obj outside required and optional, then a missing
+    required key; owner names obj in the message."""
     for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r}", pointer=f"{pointer}/{key}")
+        if key not in (*required, *optional):
+            raise ConfigError(f"{owner} takes no key {key!r}",
+                              pointer=f"{pointer}/{key}")
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{owner} needs key {key!r}",
+                              pointer=f"{pointer}/{key}")
 
 
 def _numeric(value):
-    """A number other than a bool, or lists of such nested to any depth."""
+    """A number other than a bool, or lists of such nested to any depth
+    whose siblings all have one shape."""
     if isinstance(value, (list, tuple)):
-        return all(map(_numeric, value))
+        return (all(map(_numeric, value))
+                and len({np.shape(v) for v in value}) <= 1)
     return np.asarray(value).dtype.kind in "iuf"
 
 
@@ -91,13 +100,8 @@ def _typed(spec, table, what, pointer):
         raise ConfigError(f"unknown {what} type {kind!r}",
                           pointer=f"{pointer}/type")
     required, optional = table[kind][:2]
-    for key in [*required, *spec]:
-        if key not in spec:
-            raise ConfigError(f"{what} type {kind!r} needs key {key!r}",
-                              pointer=f"{pointer}/{key}")
-        if key not in ("type", *required, *optional):
-            raise ConfigError(f"{what} type {kind!r} takes no key {key!r}",
-                              pointer=f"{pointer}/{key}")
+    _keys(spec, required, ("type", *optional), f"{what} type {kind!r}",
+          pointer)
     return kind
 
 
@@ -146,11 +150,8 @@ def _admissible(w, pointer):
     return w
 
 
-def _require(cfg, key, types, pointer=""):
-    if key not in cfg:
-        raise ConfigError(f"missing required key {key!r}",
-                          pointer=f"{pointer}/{key}")
-    _check_type(cfg[key], types, f"{pointer}/{key}")
+def _require(cfg, key, types):
+    _check_type(cfg[key], types, f"/{key}")
     return cfg[key]
 
 
@@ -183,38 +184,31 @@ def _parse_f(cfg, function):
 # ----------------------------------------------------------------- emission
 
 def _atomic_write(path, text):
+    """text into path through a fresh temp file, which open creates with
+    the mode that the umask gives, renamed over path."""
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}")
+    fh = open(tmp, "x")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
-def _write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _json(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _write_csv(path, header, rows):
+def _csv(header, rows):
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
             _FLOAT(v) if isinstance(v, float) else str(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _pair_json(pair):
-    return {
-        "route": pair.route,
-        "h_even": pair.h_even.to_json_obj(),
-        "h_odd": pair.h_odd.to_json_obj(),
-        "report": pair.report.to_json_obj(),
-    }
+    return "\n".join(lines) + "\n"
 
 
 def _residual_rows(body, f, approx):
@@ -231,9 +225,9 @@ _RESIDUAL_HEADER = ["theta", "x", "y", "f", "approx", "abs_residual"]
 
 
 # ----------------------------------------------------------------- subcommands
+# each runner returns its artifacts, {file name: text}, in manifest order
 
-def _run_approx(cfg, out):
-    _validate_keys(cfg, ("body", "f", "n", "route"))
+def _run_approx(cfg):
     body = _build_body(_require(cfg, "body", dict), "/body")
     f, ftext = _parse_f(cfg, boundary_function)
     n = _require(cfg, "n", int)
@@ -255,14 +249,15 @@ def _run_approx(cfg, out):
             raise ConfigError(f"the planar route needs n at most {_DEGREE_CAP}",
                               pointer="/n")
         pair = approximate_theorem2(body, f, n)
-    _write_json(os.path.join(out, "pair.json"), _pair_json(pair))
-    _write_csv(os.path.join(out, "residuals.csv"), _RESIDUAL_HEADER,
-               _residual_rows(body, f, pair))
-    return ["pair.json", "residuals.csv"]
+    return {"pair.json": _json({"route": pair.route,
+                                "h_even": pair.h_even.to_json_obj(),
+                                "h_odd": pair.h_odd.to_json_obj(),
+                                "report": pair.report.to_json_obj()}),
+            "residuals.csv": _csv(_RESIDUAL_HEADER,
+                                  _residual_rows(body, f, pair))}
 
 
-def _run_unity(cfg, out):
-    _validate_keys(cfg, ("body", "n", "h"))
+def _run_unity(cfg):
     body = _build_body(_require(cfg, "body", dict), "/body")
     if not body.is_smooth():
         raise ConfigError("unity needs a smooth body", pointer="/body")
@@ -275,17 +270,14 @@ def _run_unity(cfg, out):
     h = _mesh_size(cfg) if "h" in cfg else None
     hp = approximate_unity(body, n // 2, h)
     report = unity_error_report(body, hp)
-    _write_json(os.path.join(out, "unity.json"),
-                {"polynomial": hp.to_json_obj(),
-                 "report": report.to_json_obj()})
     one = lambda p: np.ones(len(p))
-    _write_csv(os.path.join(out, "residuals.csv"), _RESIDUAL_HEADER,
-               _residual_rows(body, one, hp))
-    return ["unity.json", "residuals.csv"]
+    return {"unity.json": _json({"polynomial": hp.to_json_obj(),
+                                 "report": report.to_json_obj()}),
+            "residuals.csv": _csv(_RESIDUAL_HEADER,
+                                  _residual_rows(body, one, hp))}
 
 
-def _run_equilibrium(cfg, out):
-    _validate_keys(cfg, ("weight", "lam", "grid"))
+def _run_equilibrium(cfg):
     w = _admissible(_build_weight(_require(cfg, "weight", dict), "/weight"),
                     "/weight")
     lam = _require(cfg, "lam", (int, float))
@@ -295,21 +287,19 @@ def _run_equilibrium(cfg, out):
     a, b = mrs_support(w, lam)
     em = density(w, lam, (a, b))
     xs = np.linspace(a, b, grid)
-    _write_csv(os.path.join(out, "density.csv"), ["x", "density"],
-               [(float(x), float(v)) for x, v in zip(xs, em.density(xs))])
-    _write_json(os.path.join(out, "equilibrium.json"), {
-        "lam": float(lam),
-        "support": [a, b],
-        "mass": em.mass(),
-        "robin_constant": em.robin_constant(),
-        "identity_deviation": equilibrium_check(em),
-        "support_residual": em.support_residual(),
-    })
-    return ["density.csv", "equilibrium.json"]
+    return {"density.csv": _csv(["x", "density"], [
+                (float(x), float(v)) for x, v in zip(xs, em.density(xs))]),
+            "equilibrium.json": _json({
+                "lam": float(lam),
+                "support": [a, b],
+                "mass": em.mass(),
+                "robin_constant": em.robin_constant(),
+                "identity_deviation": equilibrium_check(em),
+                "support_residual": em.support_residual(),
+            })}
 
 
-def _run_wapprox(cfg, out):
-    _validate_keys(cfg, ("weight", "body", "f", "n_list"))
+def _run_wapprox(cfg):
     if ("weight" in cfg) == ("body" in cfg):
         raise ConfigError("exactly one of weight/body is required",
                           pointer="/weight")
@@ -337,14 +327,11 @@ def _run_wapprox(cfg, out):
         wa = weighted_minimax(cf, w, n)
         rows.append((n, float(wa.sup_error)))
         coeffs[str(n)] = [float(c) for c in wa.monomial_coeffs()]
-    _write_csv(os.path.join(out, "wapprox.csv"), ["n", "sup_error"], rows)
-    _write_json(os.path.join(out, "coefficients.json"),
-                {"f": ftext, "coefficients": coeffs})
-    return ["wapprox.csv", "coefficients.json"]
+    return {"wapprox.csv": _csv(["n", "sup_error"], rows),
+            "coefficients.json": _json({"f": ftext, "coefficients": coeffs})}
 
 
-def _run_partition_diag(cfg, out, seed):
-    _validate_keys(cfg, ("d", "h", "samples"))
+def _run_partition_diag(cfg, seed):
     d = _require(cfg, "d", int)
     if d not in (1, 2, 3):
         raise ConfigError("d must be 1, 2, or 3", pointer="/d")
@@ -354,71 +341,73 @@ def _run_partition_diag(cfg, out, seed):
     pts = rng.uniform(-4.0, 4.0, size=(samples, d))
     sums, overlap = partition_sum_and_overlap(pts, h)
     n_active = len(active_indices(h, d))
-    _write_csv(os.path.join(out, "partition.csv"),
-               ["d", "h", "samples", "max_sum_deviation", "max_overlap",
-                "active_count"],
-               [(d, float(h), samples, float(np.max(np.abs(sums - 1.0))),
-                 int(np.max(overlap)), n_active)])
-    return ["partition.csv"]
+    return {"partition.csv": _csv(
+        ["d", "h", "samples", "max_sum_deviation", "max_overlap",
+         "active_count"],
+        [(d, float(h), samples, float(np.max(np.abs(sums - 1.0))),
+          int(np.max(overlap)), n_active)])}
 
 
-def _run_check_weight(cfg, out):
-    _validate_keys(cfg, ("weight",))
+def _run_check_weight(cfg):
     w = _build_weight(_require(cfg, "weight", dict), "/weight")
     diag = check_weight(w)
-    _write_json(os.path.join(out, "weight.json"), {
+    return {"weight.json": _json({
         "ok": diag.ok,
         "cond1_ok": diag.cond1_ok,
         "cond2_ok": diag.cond2_ok,
         "rho": None if np.isinf(diag.rho) else float(diag.rho),
-    })
-    return ["weight.json"]
+    })}
 
 
 # ----------------------------------------------------------------- driver
 
-_RUNNERS = {
-    "approx": _run_approx,
-    "unity": _run_unity,
-    "equilibrium": _run_equilibrium,
-    "wapprox": _run_wapprox,
-    "partition-diag": _run_partition_diag,
-    "check-weight": _run_check_weight,
+# each subcommand's required top-level keys, optional keys and runner
+_SUBCOMMANDS = {
+    "approx": (("body", "f", "n"), ("route",), _run_approx),
+    "unity": (("body", "n"), ("h",), _run_unity),
+    "equilibrium": (("weight", "lam"), ("grid",), _run_equilibrium),
+    "wapprox": (("f", "n_list"), ("weight", "body"), _run_wapprox),
+    "partition-diag": (("d", "h"), ("samples",), _run_partition_diag),
+    "check-weight": (("weight",), (), _run_check_weight),
 }
 
 _OVERRIDABLE = {"n": int, "lam": float, "f": str, "h": float, "d": int}
 
 
 def run(subcommand, cfg, out=".", seed=0):
-    """Execute one validated subcommand; returns the list of artifacts."""
+    """Execute one validated subcommand; returns the list of artifacts.
+    Nothing is written unless every artifact was computed."""
     t0 = time.perf_counter()
-    if subcommand not in _RUNNERS:
+    if subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}",
                           pointer="/subcommand")
-    if subcommand == "partition-diag":
-        outputs = _RUNNERS[subcommand](cfg, out, seed)
-    else:
-        outputs = _RUNNERS[subcommand](cfg, out)
+    required, optional, runner = _SUBCOMMANDS[subcommand]
+    _check_type(cfg, dict, "/")
+    _keys(cfg, required, optional, subcommand, "")
+    artifacts = (runner(cfg, seed) if subcommand == "partition-diag"
+                 else runner(cfg))
+    for name, text in artifacts.items():
+        _atomic_write(os.path.join(out, name), text)
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-    _write_json(os.path.join(out, "run_manifest.json"), {
+    _atomic_write(os.path.join(out, "run_manifest.json"), _json({
         "subcommand": subcommand,
         "config_sha256": digest,
         "seed": seed,
         "versions": {"homapprox": __version__,
                      "numpy": np.__version__,
                      "scipy": scipy.__version__},
-        "outputs": outputs,
+        "outputs": list(artifacts),
         "timings": {"total_s": time.perf_counter() - t0},
-    })
-    return outputs
+    }))
+    return list(artifacts)
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="homapprox",
         description="homogeneous-polynomial approximation toolkit")
-    parser.add_argument("subcommand", choices=sorted(_RUNNERS))
+    parser.add_argument("subcommand", choices=sorted(_SUBCOMMANDS))
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")

@@ -2,13 +2,14 @@
 
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
-from homapprox import ConvexBody, HomogeneousPoly, approximate_unity
+from homapprox import ConvexBody, HomogeneousPoly, approximate_unity, cli
 from homapprox.cli import main, run
-from homapprox.errors import ConfigError
+from homapprox.errors import ConfigError, HomApproxError
 from homapprox.potential import _SUPPORT_TOL, density
 
 
@@ -397,3 +398,110 @@ def test_byte_identical_reruns(tmp_path):
         outs.append(out)
     for name in ("pair.json", "residuals.csv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("body, key", [
+    ({"type": "polygon", "vertices": [[1, 0], [0]]}, "vertices"),
+    ({"type": "ellipse", "semi_axes": [2, [1]]}, "semi_axes"),
+], ids=["polygon-ragged", "ellipse-number-and-list"])
+def test_ragged_list_is_config_error_at_its_key(tmp_path, capsys, body, key):
+    """A list whose siblings differ in shape is not numeric: it is refused
+    at its key, without numpy's inhomogeneous-shape text."""
+    cfg = write_cfg(tmp_path, {"body": body, "f": "x", "n": 8})
+    assert main(["approx", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f" at /body/{key}: {key} must be numeric" in err
+    assert "inhomogeneous" not in err
+
+
+def test_artifacts_get_the_mode_that_open_gives(tmp_path):
+    """Every file a run writes, the manifest included, has the mode of a
+    file made by a plain open under the same umask."""
+    old = os.umask(0o022)
+    try:
+        (tmp_path / "plain").open("w").close()
+        expected = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+        out = tmp_path / "pd"
+        run("partition-diag", {"d": 2, "h": 0.5, "samples": 100}, str(out))
+    finally:
+        os.umask(old)
+    names = sorted(os.listdir(out))
+    assert names == ["partition.csv", "run_manifest.json"]
+    for name in names:
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == expected
+
+
+def _fail(*args, **kwargs):
+    raise HomApproxError("injected failure")
+
+
+@pytest.mark.parametrize("sub, obj, target", [
+    ("approx", {"body": {"type": "disk"}, "f": "x", "n": 9}, "_residual_rows"),
+    ("equilibrium", {"weight": {"type": "body", "body": {"type": "disk"}},
+                     "lam": 1.5}, "equilibrium_check"),
+], ids=["approx", "equilibrium"])
+def test_failed_run_writes_nothing(tmp_path, capsys, monkeypatch, sub, obj,
+                                   target):
+    """A run that fails after its first artifact is computed leaves no
+    output directory behind."""
+    monkeypatch.setattr(cli, target, _fail)
+    out = tmp_path / "o"
+    rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])
+    assert rc == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_singular_residual_writes_nothing(tmp_path, capsys):
+    """f is singular only at the first residual angle, 2 pi / 512, after
+    the pair is fitted: the run fails with no artifact written."""
+    cfg = write_cfg(tmp_path, {"body": {"type": "disk"},
+                               "f": "1/(y - 0.012271538285719925)", "n": 9})
+    out = tmp_path / "o"
+    assert main(["approx", "--config", cfg, "--out", str(out)]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_SHIPPED = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+_REQUIRED = {"approx": ("body", "f", "n"), "unity": ("body", "n"),
+             "equilibrium": ("weight", "lam"), "wapprox": ("f", "n_list"),
+             "partition-diag": ("d", "h"), "check-weight": ("weight",)}
+
+
+@pytest.mark.parametrize("sub, key", [
+    (sub, key) for sub, keys in _REQUIRED.items() for key in keys])
+def test_missing_top_level_key_names_the_subcommand(tmp_path, capsys, sub,
+                                                    key):
+    with open(os.path.join(_SHIPPED, f"{sub}.json")) as fh:
+        obj = json.load(fh)
+    del obj[key]
+    out = tmp_path / "o"
+    rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])
+    assert rc == 3
+    assert f" at /{key}: {sub} needs key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, section, spec, key", [
+    ("approx", "body", {"type": "ellipse"}, "semi_axes"),
+    ("approx", "body", {"type": "polygon"}, "vertices"),
+    ("approx", "body", {"type": "pnorm"}, "p"),
+    ("approx", "body", {"type": "radial-samples", "radii": [1, 1, 1]},
+     "angles"),
+    ("approx", "body", {"type": "radial-samples", "angles": [0, 1, 2]},
+     "radii"),
+    ("check-weight", "weight", {"type": "power"}, "m"),
+    ("check-weight", "weight", {"type": "expr"}, "w"),
+    ("check-weight", "weight", {"type": "body"}, "body"),
+])
+def test_missing_section_key_names_the_type(tmp_path, capsys, sub, section,
+                                            spec, key):
+    obj = {section: spec, **({"f": "x", "n": 8} if sub == "approx" else {})}
+    out = tmp_path / "o"
+    rc = main([sub, "--config", write_cfg(tmp_path, obj), "--out", str(out)])
+    assert rc == 3
+    assert (f" at /{section}/{key}: {section} type {spec['type']!r} "
+            f"needs key {key!r}") in capsys.readouterr().err
+    assert not out.exists()
