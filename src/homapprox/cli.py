@@ -155,14 +155,6 @@ def _require(cfg, key, types):
     return cfg[key]
 
 
-def _mesh_size(cfg):
-    """The mesh size cfg["h"], a number in (0, 1]."""
-    h = _require(cfg, "h", (int, float))
-    if not 0 < h <= 1:
-        raise ConfigError("h must be in (0, 1]", pointer="/h")
-    return float(h)
-
-
 def _count(cfg, key, default):
     """The optional positive integer cfg[key]."""
     value = cfg.get(key, default)
@@ -267,8 +259,7 @@ def _run_unity(cfg):
                           pointer="/n")
     if n < 8:
         raise ConfigError("n must be at least 8", pointer="/n")
-    h = _mesh_size(cfg) if "h" in cfg else None
-    hp = approximate_unity(body, n // 2, h)
+    hp = approximate_unity(body, n // 2)
     report = unity_error_report(body, hp)
     one = lambda p: np.ones(len(p))
     return {"unity.json": _json({"polynomial": hp.to_json_obj(),
@@ -335,7 +326,9 @@ def _run_partition_diag(cfg, seed):
     d = _require(cfg, "d", int)
     if d not in (1, 2, 3):
         raise ConfigError("d must be 1, 2, or 3", pointer="/d")
-    h = _mesh_size(cfg)
+    h = float(_require(cfg, "h", (int, float)))
+    if not 0 < h <= 1:
+        raise ConfigError("h must be in (0, 1]", pointer="/h")
     samples = _count(cfg, "samples", 10000)
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-4.0, 4.0, size=(samples, d))
@@ -364,19 +357,18 @@ def _run_check_weight(cfg):
 # each subcommand's required top-level keys, optional keys and runner
 _SUBCOMMANDS = {
     "approx": (("body", "f", "n"), ("route",), _run_approx),
-    "unity": (("body", "n"), ("h",), _run_unity),
+    "unity": (("body", "n"), (), _run_unity),
     "equilibrium": (("weight", "lam"), ("grid",), _run_equilibrium),
     "wapprox": (("f", "n_list"), ("weight", "body"), _run_wapprox),
     "partition-diag": (("d", "h"), ("samples",), _run_partition_diag),
     "check-weight": (("weight",), (), _run_check_weight),
 }
 
-_OVERRIDABLE = {"n": int, "lam": float, "f": str, "h": float, "d": int}
-
 
 def run(subcommand, cfg, out=".", seed=0):
     """Execute one validated subcommand; returns the list of artifacts.
-    Nothing is written unless every artifact was computed."""
+    Nothing is written unless every artifact was computed, and a write that
+    fails is a config error."""
     t0 = time.perf_counter()
     if subcommand not in _SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}",
@@ -386,20 +378,23 @@ def run(subcommand, cfg, out=".", seed=0):
     _keys(cfg, required, optional, subcommand, "")
     artifacts = (runner(cfg, seed) if subcommand == "partition-diag"
                  else runner(cfg))
-    for name, text in artifacts.items():
-        _atomic_write(os.path.join(out, name), text)
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True).encode()).hexdigest()
-    _atomic_write(os.path.join(out, "run_manifest.json"), _json({
-        "subcommand": subcommand,
-        "config_sha256": digest,
-        "seed": seed,
-        "versions": {"homapprox": __version__,
-                     "numpy": np.__version__,
-                     "scipy": scipy.__version__},
-        "outputs": list(artifacts),
-        "timings": {"total_s": time.perf_counter() - t0},
-    }))
+    try:
+        for name, text in artifacts.items():
+            _atomic_write(os.path.join(out, name), text)
+        _atomic_write(os.path.join(out, "run_manifest.json"), _json({
+            "subcommand": subcommand,
+            "config_sha256": digest,
+            "seed": seed,
+            "versions": {"homapprox": __version__,
+                         "numpy": np.__version__,
+                         "scipy": scipy.__version__},
+            "outputs": list(artifacts),
+            "timings": {"total_s": time.perf_counter() - t0},
+        }))
+    except OSError as exc:
+        raise ConfigError(f"cannot write artifacts: {exc}")
     return list(artifacts)
 
 
@@ -411,9 +406,6 @@ def main(argv=None):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="sampling seed")
-    for key, typ in sorted(_OVERRIDABLE.items()):
-        parser.add_argument(f"--{key}", type=typ, default=None,
-                            help=f"override config field {key!r}")
     args = parser.parse_args(argv)
 
     try:
@@ -428,11 +420,6 @@ def main(argv=None):
                 cfg = json.loads(text)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config is not valid JSON: {exc}")
-            _check_type(cfg, dict, "/")
-        for key in _OVERRIDABLE:
-            val = getattr(args, key)
-            if val is not None:
-                cfg[key] = val
         run(args.subcommand, cfg, out=args.out, seed=args.seed)
         return 0
     except ConfigError as exc:

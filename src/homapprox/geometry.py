@@ -75,7 +75,8 @@ class ConvexBody:
         self._gauge = gauge
         self._gradient = gradient
         self._delta = delta
-        self._corners = corners
+        self._corners = np.array(corners, dtype=float)
+        self._corners.setflags(write=False)
         self._smooth = smooth
 
     # ---------------------------------------------------------------- factories
@@ -294,7 +295,7 @@ class ConvexBody:
 
     def corners(self):
         """The boundary's corners, one row each: a polygon's vertices, and a
-        (0, 2) array for every other body."""
+        (0, 2) array for every other body; read-only, and the body's own."""
         return self._corners
 
     def is_smooth(self):

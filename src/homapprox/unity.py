@@ -34,20 +34,15 @@ _WINDOW_MARGIN = 1e-9   # support-window widening, relative to hi - lo
 _CUBE_CORNERS = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]])
 
 
-def mesh_size(n, h=None):
-    """The mesh size of the degree-2n unity construction, h if given.
+def mesh_size(n):
+    """The mesh size of the degree-2n unity construction.
 
-    The default mesh is the calibrated desk-scale schedule
-    clip(2.8/n, 0.1, 0.35), not the paper's asymptotic n^(-gamma): that mesh
-    is far below what a degree-2n Chebyshev fit can resolve at practical n.
-    Pass h=n**-gamma to use it anyway.
+    The mesh is the calibrated desk-scale schedule clip(2.8/n, 0.1, 0.35),
+    not the paper's asymptotic n^(-gamma).
     """
     if n < 4:
         raise ValueError("n must be at least 4")
-    h = float(np.clip(2.8 / n, 0.1, 0.35)) if h is None else h
-    if not (0 < h <= 1):
-        raise ValueError("mesh size h must be in (0, 1]")
-    return h
+    return float(np.clip(2.8 / n, 0.1, 0.35))
 
 
 def _lift_cheb(cs, w, e, lo, hi, targets):
@@ -195,8 +190,8 @@ def _patch_coeffs(body, offsets, h, targets, radius):
     return cs, w, e, lo, hi
 
 
-def approximate_unities(body, ns, h=None):
-    """approximate_unity(body, n, h) for each n in ns, in order.
+def approximate_unities(body, ns):
+    """approximate_unity(body, n) for each n in ns, in order.
 
     The degrees are grouped by mesh, and the degrees of one mesh share the
     patches, their lines and support windows, and the bump and gauge samples
@@ -209,7 +204,7 @@ def approximate_unities(body, ns, h=None):
             "use the planar weighted route instead")
     meshes = {}
     for i, n in enumerate(ns):
-        meshes.setdefault(mesh_size(n, h), []).append(i)
+        meshes.setdefault(mesh_size(n), []).append(i)
     radius = _FIT_RADIUS * body.delta()
     out = [None] * len(ns)
     for mesh, idx in meshes.items():
@@ -221,9 +216,9 @@ def approximate_unities(body, ns, h=None):
     return out
 
 
-def approximate_unity(body, n, h=None):
+def approximate_unity(body, n):
     """Even h_2n in H^2_2n with h_2n ~ 1 on the boundary of a smooth body."""
-    return approximate_unities(body, [n], h)[0]
+    return approximate_unities(body, [n])[0]
 
 
 def unity_error_report(body, hp):

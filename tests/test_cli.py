@@ -124,9 +124,10 @@ def test_equilibrium_run_and_lam_guard(tmp_path, capsys):
     w = ConvexBody.disk().weight()
     wide = density(w, 2.0, tuple(1.05 * np.array(data["support"])))
     assert wide.support_residual() > _SUPPORT_TOL
-    # lam can be overridden on the command line; lam = 1 is a config error
-    rc = main(["equilibrium", "--config", cfg, "--lam", "1.0",
-               "--out", str(tmp_path / "eq2")])
+    # lam = 1 is a config error
+    cfg = write_cfg(tmp_path, {
+        "weight": {"type": "body", "body": {"type": "disk"}}, "lam": 1.0})
+    rc = main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq2")])
     assert rc == 3
     assert "/lam" in capsys.readouterr().err
 
@@ -373,13 +374,37 @@ def test_foreign_weight_key_names_the_weight_type(tmp_path, capsys):
 
 
 def test_config_that_is_not_an_object_is_config_error(tmp_path, capsys):
-    # with and without an override flag, which writes into the config
     cfg = write_cfg(tmp_path, [1, 2])
-    for flags in ([], ["--n", "5"]):
-        out = tmp_path / "o"
-        assert main(["approx", "--config", cfg, "--out", str(out), *flags]) == 3
-        assert " at /:" in capsys.readouterr().err
-        assert not out.exists()
+    out = tmp_path / "o"
+    assert main(["approx", "--config", cfg, "--out", str(out)]) == 3
+    assert " at /:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_without_config_is_config_error(tmp_path, capsys):
+    """With no --config the config is empty: approx names its first
+    required key, and no output directory is made."""
+    out = tmp_path / "o"
+    assert main(["approx", "--out", str(out)]) == 3
+    assert "config error at /body: approx needs key 'body'" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_unusable_out_is_config_error(tmp_path, capsys, below):
+    """An --out that is an existing file, or a path below one, cannot hold
+    the artifacts: exit 3, not a traceback."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "o" if below else blocker
+    rc = main(["check-weight", "--config",
+               os.path.join(_SHIPPED, "check-weight.json"),
+               "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "cannot write" in err and "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 def test_run_rejects_unknown_subcommand(tmp_path):

@@ -253,6 +253,18 @@ def test_corners_are_polygon_vertices_only():
         assert body.corners().shape == (0, 2)
 
 
+def test_corners_are_read_only_and_the_bodys_own():
+    """A write into corners() cannot move the weight's kinks, and no two
+    bodies share one corners array."""
+    body = ConvexBody.square()
+    with pytest.raises(ValueError):
+        body.corners()[0] = [5, 1]
+    assert body.weight().kinks == (-1.0, 1.0)
+    assert body.corners() is not ConvexBody.square().corners()
+    assert ConvexBody.disk().corners() is not \
+        ConvexBody.ellipse(2.0, 1.0).corners()
+
+
 def _radial_samples(amp=0.1, phase=0.0, samples=64):
     th = np.linspace(0, np.pi, samples, endpoint=False)
     return th, 1.0 + amp * np.cos(2 * th + phase)

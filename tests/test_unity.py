@@ -20,16 +20,11 @@ def test_mesh_size_defaults():
     # the schedule clip(2.8/n, 0.1, 0.35) at both clips and in between
     assert [mesh_size(n) for n in (4, 8, 16, 64)] == \
         pytest.approx([0.35, 0.35, 0.175, 0.1])
-    # an explicit h wins, e.g. the paper's asymptotic mesh n^(-gamma)
-    assert mesh_size(16, 16.0 ** -0.5) == 0.25
 
 
 def test_mesh_size_rejects_small_n():
     with pytest.raises(ValueError):
         mesh_size(3)
-    for h in (0.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            mesh_size(8, h)
 
 
 def test_disk_unity_error_and_improvement():
@@ -209,7 +204,7 @@ def test_windowed_batch_fit_matches_full_line_fit(name, h):
     bit."""
     body = _FIT_BODIES[name]()
     n = 16
-    h = mesh_size(n, h)
+    h = mesh_size(n) if h is None else h
     targets = [2 * n, 2 * n - 6, 2 * n - 2]
     radius = unity._FIT_RADIUS * body.delta()
     patches = sphere_patches(h, 2)
@@ -393,8 +388,7 @@ def test_multi_target_lift_of_short_series():
 def test_unities_of_one_mesh_match_single_calls():
     """approximate_unities returns, bit for bit and in order, what
     approximate_unity returns for each degree, whether the degrees share a
-    mesh (30, 28, 33 at h = 0.1; 16, 12 at an explicit h) or not (16, 12,
-    15)."""
+    mesh (30, 28, 33 at h = 0.1) or not (16, 12, 15)."""
     body = ConvexBody.pnorm_ball(4.0)
     for ns in ((30, 28, 33), (16, 12, 15)):
         us = approximate_unities(body, ns)
@@ -402,8 +396,5 @@ def test_unities_of_one_mesh_match_single_calls():
         for n, u in zip(ns, us):
             assert np.array_equal(u.vec, approximate_unity(body, n).vec)
     assert len({mesh_size(n) for n in (16, 12, 15)}) == 3
-    # an explicit h puts every degree on that mesh
-    for n, u in zip((16, 12), approximate_unities(body, (16, 12), 0.25)):
-        assert np.array_equal(u.vec, approximate_unity(body, n, 0.25).vec)
     with pytest.raises(UnsupportedBodyError):
         approximate_unities(ConvexBody.square(), (30, 28, 33))
